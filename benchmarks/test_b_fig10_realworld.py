@@ -3,12 +3,14 @@
 One benchmark pair per crimes/movies/SOF query; PS uses a sketch
 captured once per module over the group-by attributes (PSMIX for
 crimes, 1000-fragment equi-depth for movies/SOF)."""
+import pandas as pd
 import pytest
 
 from repro.algebra.compile_spark import compile_op
 from repro.core.capture import capture_sketch
 from repro.core.use import apply_sketches
 from repro.experiments.fig10_realworld import _partitions, _queries
+from repro.oracle import _canon
 
 
 @pytest.fixture(scope="module")
@@ -41,4 +43,7 @@ def test_ps(benchmark, cases, name):
         lambda: compile_op(qp, ds.disk).collect(),
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    assert len(rows) == len(compile_op(q, ds.disk).collect())
+    want = compile_op(q, ds.disk).collect()
+    pd.testing.assert_frame_equal(
+        _canon(pd.DataFrame(rows)), _canon(pd.DataFrame(want)), check_dtype=False
+    )

@@ -5,11 +5,13 @@ disk/zone-map path). The PS variant uses a sketch captured once per
 module; the shape to reproduce is PS <= No-PS for the selective
 queries, with the largest wins on the top-k joins (Q3/Q10).
 """
+import pandas as pd
 import pytest
 
 from repro.algebra.compile_spark import compile_op
 from repro.core.capture import capture_sketch
 from repro.core.use import apply_sketches
+from repro.oracle import _canon
 from repro.workloads import tpch
 
 QUERIES = ("Q3", "Q10", "Q15", "Q18", "Q19")
@@ -42,5 +44,8 @@ def test_ps400(benchmark, tpch_ds, sketches, qname):
         lambda: compile_op(q, tpch_ds.disk).collect(),
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    # sanity: the rewritten query still returns the same number of rows
-    assert len(rows) == len(compile_op(tpch.all_queries()[qname], tpch_ds.disk).collect())
+    # the rewritten query returns the same multiset of rows as plain Q
+    want = compile_op(tpch.all_queries()[qname], tpch_ds.disk).collect()
+    pd.testing.assert_frame_equal(
+        _canon(pd.DataFrame(rows)), _canon(pd.DataFrame(want)), check_dtype=False
+    )

@@ -15,9 +15,20 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+
+def _driver_mem() -> str:
+    """Half of MemTotal in whole GiB, clamped to 2..8, so the heap fits the host."""
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // 2097152))}g"
+
+
 # driver memory must be fixed before the JVM launches (same reason as
-# the root conftest): default to 24g for the SF1 sorts/caches.
-os.environ.setdefault("SPARK_DRIVER_MEM", "24g")
+# the root conftest)
+os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

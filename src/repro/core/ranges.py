@@ -6,8 +6,8 @@ inner cut points ``boundaries`` (fragment i is the right-closed
 interval (b_{i-1}, b_i], with b_{-1} = -inf and b_{n-1} = +inf).
 
 The paper derives the cuts from the DBMS's one-dimensional equi-depth
-histograms (Sec. 9.3); ``equi_depth``/``equi_depth_spark`` do the same
-from pandas quantiles / Spark ``approxQuantile``.
+histograms (Sec. 9.3); ``equi_depth`` does the same from exact pandas
+quantiles, so every cut is a value of the column and keeps its type.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 @dataclass(frozen=True)
@@ -94,27 +93,6 @@ def equi_depth(
     uniq: list = []
     for c in cuts:
         c = c.item() if hasattr(c, "item") else c
-        if not uniq or c > uniq[-1]:
-            uniq.append(c)
-    return RangePartition(relation, attr, tuple(uniq))
-
-
-def equi_depth_spark(
-    df: DataFrame,
-    relation: str,
-    attr: str,
-    n_fragments: int,
-    *,
-    rel_error: float = 0.001,
-) -> RangePartition:
-    """Equi-depth cuts from Spark ``approxQuantile`` (numeric attrs) —
-    the production path that avoids collecting the column."""
-    qs = [i / n_fragments for i in range(1, n_fragments)]
-    if not qs:
-        return RangePartition(relation, attr, ())
-    cuts = df.stat.approxQuantile(attr, qs, rel_error)
-    uniq: list = []
-    for c in cuts:
         if not uniq or c > uniq[-1]:
             uniq.append(c)
     return RangePartition(relation, attr, tuple(uniq))

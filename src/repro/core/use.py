@@ -4,24 +4,34 @@ A sketch decodes to a disjunction of range predicates on the sketched
 attribute (Eq. 2); ``apply_sketches`` adds a selection with that
 predicate above every covered table access. Adjacent fragments are
 coalesced into one range first (Sec. 8.1), so a sketch of k fragments
-with r maximal runs yields only r disjuncts.
+with r maximal runs yields only r ranges. When r exceeds
+``MAX_DISJUNCTS``, the closest ranges are bridged until the budget
+holds: the predicate then covers a superset of the sketch, which is
+still safe (Lem. 5) and only less precise.
 
-Spark's Catalyst then pushes these filters into the scan; when the
-base table is Parquet clustered on the sketched attribute, row-group
-min/max pruning skips the data exactly like the paper's zone maps /
-BRIN indexes (see ``repro.physical``).
+The predicate is a plain ``Or`` of range conditions, so Spark's
+Catalyst pushes it into the scan; when the base table is Parquet
+clustered on the sketched attribute, row-group min/max pruning skips
+the data exactly like the paper's zone maps / BRIN indexes (see
+``repro.physical``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-import pandas as pd
 
 from repro.algebra.expr import And, Col, Expr, Lit, Or
 from repro.algebra.ops import Op, Select, TableAccess, replace_tables
 from repro.core.sketch import ProvenanceSketch
+
+# Disjunct budget of one sketch predicate. Each disjunct costs ~15-20 ms
+# to build as a Spark Column (py4j round trips), more than the extra
+# precision saves at these scales: on the tpch-disk benchmark (TPC-H-lite
+# SF 0.01, PS400, 4 cores), the Q[P] median at budgets 4/8/16/32/64 was
+# 0.24/0.28/0.40/0.64/0.78 s for Q19 and 0.32/0.32/0.45/0.47/0.46 s for
+# Q10, and budget 32 made the workload's tail latency ~12 % worse.
+MAX_DISJUNCTS = 4
 
 
 def range_condition(attr: str, lo, hi) -> Optional[Expr]:
@@ -34,97 +44,6 @@ def range_condition(attr: str, lo, hi) -> Optional[Expr]:
     if hi is None:
         return c.gt(Lit(lo))
     return And(c.gt(Lit(lo)), c.le(Lit(hi)))
-
-
-@dataclass(frozen=True)
-class RangeMembership(Expr):
-    """Binary-search membership test over merged sketch ranges — the
-    paper's Sec. 8.1 optimization that replaces an O(k)-disjunct OR
-    with an O(log k) lookup. ``ranges`` is the sorted tuple of merged
-    (lo_exclusive, hi_inclusive) pairs (None = unbounded side).
-
-    Compiles to a vectorized ``np.searchsorted`` pandas UDF on Spark
-    (so it cannot be pushed into the scan — ``sketch_predicate``
-    therefore pairs it with a coarse, pushdown-friendly disjunction)
-    and renders as the full OR disjunction in SQL for the oracle.
-    """
-
-    attr: Expr
-    ranges: tuple  # sorted ((lo, hi), ...) pairs
-
-    def children(self):
-        return (self.attr,)
-
-    def _or_expr(self) -> Expr:
-        conds = [range_condition_expr(self.attr, lo, hi) for lo, hi in self.ranges]
-        return conds[0] if len(conds) == 1 else Or(*conds)
-
-    def to_sql(self) -> str:
-        return self._or_expr().to_sql()
-
-    def _membership(self, values: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return np.zeros(0, dtype=bool)
-        try:
-            # numeric fast path: fully vectorized O(n log k)
-            v = values.astype(np.float64)
-            lows = np.array(
-                [-np.inf if lo is None else float(lo) for lo, _ in self.ranges]
-            )
-            his = np.array(
-                [np.inf if hi is None else float(hi) for _, hi in self.ranges]
-            )
-            idx = np.clip(
-                np.searchsorted(his, v, side="left"), 0, len(self.ranges) - 1
-            )
-            return (v <= his[idx]) & (v > lows[idx])
-        except (TypeError, ValueError):
-            # generic (e.g. string) path: per-value bisection
-            import bisect
-
-            finite_his = [hi for _, hi in self.ranges if hi is not None]
-            open_high = self.ranges[-1][1] is None
-            out = np.zeros(len(values), dtype=bool)
-            for i, val in enumerate(values):
-                j = bisect.bisect_left(finite_his, val)
-                if j >= len(finite_his):
-                    if not open_high:
-                        continue
-                    j = len(self.ranges) - 1
-                lo, hi = self.ranges[j]
-                out[i] = (lo is None or val > lo) and (hi is None or val <= hi)
-            return out
-
-    def to_spark(self):
-        from pyspark.sql.functions import pandas_udf
-
-        node = self
-
-        @pandas_udf("boolean")
-        def _member(s: pd.Series) -> pd.Series:
-            return pd.Series(node._membership(s.to_numpy()), index=s.index)
-
-        return _member(self.attr.to_spark())
-
-    def eval_pandas(self, df):
-        vals = self.attr.eval_pandas(df)
-        return pd.Series(self._membership(vals.to_numpy()), index=vals.index)
-
-    def columns(self):
-        return self.attr.columns()
-
-    def bind(self, bindings):
-        return self
-
-
-def range_condition_expr(attr: Expr, lo, hi) -> Optional[Expr]:
-    if lo is None and hi is None:
-        return None
-    if lo is None:
-        return attr.le(Lit(hi))
-    if hi is None:
-        return attr.gt(Lit(lo))
-    return And(attr.gt(Lit(lo)), attr.le(Lit(hi)))
 
 
 def coarsen_ranges(ranges, budget: int) -> list:
@@ -150,47 +69,30 @@ def coarsen_ranges(ranges, budget: int) -> list:
     return rs
 
 
-def sketch_predicate(
-    sketch: ProvenanceSketch, *, max_disjuncts: int = 4
-) -> Optional[Expr]:
-    """The filter predicate for a sketch, or None if the sketch covers
-    the whole partition (no restriction — using it would only add
-    per-tuple evaluation cost, paper Sec. 9.3 MonetDB discussion).
-
-    Up to ``max_disjuncts`` merged ranges decode to a plain OR of
-    range conditions, which Catalyst pushes into the scan. Beyond
-    that, a large disjunction costs more than it saves (the paper's
-    Sec. 8.1 observation), so the predicate becomes: a *coarsened*
-    disjunction (<= max_disjuncts ranges, still pushed down and used
-    for zone-map skipping) AND an exact O(log k) binary-search
-    membership test (the paper's BS method)."""
+def sketch_predicate(sketch: ProvenanceSketch) -> Optional[Expr]:
+    """The filter predicate for a sketch: an ``Or`` of at most
+    ``MAX_DISJUNCTS`` range conditions, ``FALSE`` for an empty sketch,
+    or None if the ranges cover the whole domain (no restriction —
+    using it would only add per-tuple evaluation cost, paper Sec. 9.3
+    MonetDB discussion)."""
     if not sketch.fragments:
         # empty sketch: provenance is empty; nothing qualifies
         return Lit(False)
-    ranges = sketch.partition.merged_ranges(sketch.fragments)
-    if any(lo is None and hi is None for lo, hi in ranges):
-        return None
+    ranges = coarsen_ranges(
+        sketch.partition.merged_ranges(sketch.fragments), MAX_DISJUNCTS
+    )
     conds = [range_condition(sketch.attr, lo, hi) for lo, hi in ranges]
-    if len(conds) <= max_disjuncts:
-        return conds[0] if len(conds) == 1 else Or(*conds)
-    coarse_ranges = coarsen_ranges(ranges, max(1, max_disjuncts))
-    coarse = [range_condition(sketch.attr, lo, hi) for lo, hi in coarse_ranges]
-    exact = RangeMembership(Col(sketch.attr), tuple(ranges))
-    if any(c is None for c in coarse):
-        # coarsening collapsed to the whole domain: exact test only
-        return exact
-    coarse_e = coarse[0] if len(coarse) == 1 else Or(*coarse)
-    return And(coarse_e, exact)
+    if any(c is None for c in conds):
+        return None
+    return conds[0] if len(conds) == 1 else Or(*conds)
 
 
-def apply_sketches(
-    q: Op, sketches: Mapping[str, ProvenanceSketch], *, max_disjuncts: int = 4
-) -> Op:
+def apply_sketches(q: Op, sketches: Mapping[str, ProvenanceSketch]) -> Op:
     """Q[P]: identity everywhere except table accesses covered by a
     sketch, which gain the decoded range filter."""
     repl: dict[str, Op] = {}
     for rel, sk in sketches.items():
-        pred = sketch_predicate(sk, max_disjuncts=max_disjuncts)
+        pred = sketch_predicate(sk)
         if pred is None:
             continue
         base = TableAccess(rel, _schema_of(q, rel))

@@ -1,10 +1,12 @@
 """Parquet storage clustered on a sketch attribute + plan inspection.
 
 ``write_clustered`` range-partitions and sorts a DataFrame by the
-given attribute before writing Parquet with small row groups, so that
-(a) Spark's Parquet reader can prune row groups via min/max statistics
-and (b) file-level partition pruning applies — the Spark analogue of
-the index/zone-map exploitation in the paper's Postgres experiments.
+given attribute before writing Parquet with 1 MiB row groups, so that
+Spark's Parquet reader can prune row groups via min/max statistics —
+the Spark analogue of the index/zone-map exploitation in the paper's
+Postgres experiments. The table is not partitioned by directory, so
+there is no file-level partition pruning: every file is opened and
+its footer statistics decide which row groups are read.
 
 ``pushed_filters`` extracts the ``PushedFilters`` entries from the
 physical plan: tests assert that the Q[P] rewrite's range disjunction
@@ -25,7 +27,6 @@ def write_clustered(
     cluster_by: str,
     *,
     n_files: int = 8,
-    row_group_rows: int = 20_000,
 ) -> None:
     """Write ``df`` as Parquet clustered on ``cluster_by``."""
     (
@@ -33,7 +34,6 @@ def write_clustered(
         .sortWithinPartitions(cluster_by)
         .write.mode("overwrite")
         .option("parquet.block.size", 1 << 20)
-        .option("spark.sql.files.maxRecordsPerFile", row_group_rows)
         .parquet(path)
     )
 

@@ -1,21 +1,17 @@
 """Unit tests for the Sec. 8.1 predicate machinery: range coarsening
-and the binary-search membership test (no Spark needed)."""
-import numpy as np
+and the sketch predicate built from it (no Spark needed)."""
 import pandas as pd
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.expr import And, Col, Lit
+from repro.algebra.expr import And, Col, Lit, Or
 from repro.core.ranges import RangePartition
 from repro.core.sketch import ProvenanceSketch
-from repro.core.use import (
-    RangeMembership,
-    coarsen_ranges,
-    sketch_predicate,
-)
+from repro.core.use import MAX_DISJUNCTS, coarsen_ranges, sketch_predicate
 
 P8 = RangePartition("r", "a", (10, 20, 30, 40, 50, 60, 70))
+# more than 2 * MAX_DISJUNCTS fragments, so sketches can exceed the budget
+P16 = RangePartition("r", "a", tuple(range(10, 160, 10)))
 
 
 class TestCoarsen:
@@ -48,65 +44,38 @@ class TestCoarsen:
         assert out[0][0] is None and out[-1][1] is None
 
 
-class TestRangeMembership:
-    RM = RangeMembership(Col("a"), ((None, 10), (20, 30), (90, None)))
-
-    def test_eval_pandas(self):
-        df = pd.DataFrame({"a": [5, 10, 11, 20, 21, 30, 31, 90, 91]})
-        got = list(self.RM.eval_pandas(df))
-        assert got == [True, True, False, False, True, True, False, False, True]
-
-    def test_sql_is_full_disjunction(self):
-        sql = self.RM.to_sql()
-        assert "OR" in sql and "(a <= 10)" in sql and "(a > 90)" in sql
-
-    def test_bounded_only(self):
-        rm = RangeMembership(Col("a"), ((10, 20),))
-        df = pd.DataFrame({"a": [10, 11, 20, 21]})
-        assert list(rm.eval_pandas(df)) == [False, True, True, False]
-
-    def test_string_ranges(self):
-        rm = RangeMembership(Col("s"), (("b", "d"), ("x", None)))
-        df = pd.DataFrame({"s": ["a", "b", "c", "d", "e", "y"]})
-        assert list(rm.eval_pandas(df)) == [False, False, True, True, False, True]
-
-    def test_empty_input(self):
-        df = pd.DataFrame({"a": []})
-        assert list(self.RM.eval_pandas(df)) == []
-
-    @given(
-        st.sets(st.integers(0, 7), min_size=1, max_size=7),
-        st.lists(st.integers(-5, 90), min_size=1, max_size=50),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_membership_matches_fragment_of(self, frags, vals):
-        """Membership in the merged ranges == fragment_of in the sketch."""
-        sk = ProvenanceSketch(P8, frozenset(frags))
-        rm = RangeMembership(Col("a"), tuple(P8.merged_ranges(sk.fragments)))
-        df = pd.DataFrame({"a": vals})
-        got = list(rm.eval_pandas(df))
-        exp = [P8.fragment_of(v) in frags for v in vals]
-        assert got == exp
-
-
-class TestHybridPredicate:
+class TestSketchPredicate:
     def test_small_sketch_pure_or(self):
         sk = ProvenanceSketch(P8, frozenset({0, 2}))
-        pred = sketch_predicate(sk, max_disjuncts=4)
-        assert not _contains_membership(pred)
+        assert sketch_predicate(sk) == Or(
+            Col("a").le(Lit(10)), And(Col("a").gt(Lit(20)), Col("a").le(Lit(30)))
+        )
 
-    def test_large_sketch_hybrid(self):
-        sk = ProvenanceSketch(P8, frozenset({0, 2, 4, 6}))
-        pred = sketch_predicate(sk, max_disjuncts=2)
-        assert isinstance(pred, And)
-        assert _contains_membership(pred)
+    def test_large_sketch_coarsened(self):
+        sk = ProvenanceSketch(P16, frozenset(range(0, 16, 2)))
+        pred = sketch_predicate(sk)
+        assert isinstance(pred, Or) and len(pred.terms) == MAX_DISJUNCTS
 
-    def test_hybrid_equivalent_to_exact(self):
-        sk = ProvenanceSketch(P8, frozenset({0, 2, 4, 6}))
-        exact = sketch_predicate(sk, max_disjuncts=100)
-        hybrid = sketch_predicate(sk, max_disjuncts=2)
-        df = pd.DataFrame({"a": list(range(-5, 90))})
-        assert list(exact.eval_pandas(df)) == list(hybrid.eval_pandas(df))
+    def test_large_sketch_superset(self):
+        frags = frozenset(range(0, 16, 2))
+        pred = sketch_predicate(ProvenanceSketch(P16, frags))
+        vals = list(range(-5, 170))
+        got = list(pred.eval_pandas(pd.DataFrame({"a": vals})))
+        assert all(g for v, g in zip(vals, got) if P16.fragment_of(v) in frags)
+        assert not all(got)
+
+    def test_eval_pandas(self):
+        sk = ProvenanceSketch(P8, frozenset({0, 2, 7}))
+        df = pd.DataFrame({"a": [5, 10, 11, 20, 21, 30, 31, 70, 71]})
+        got = list(sketch_predicate(sk).eval_pandas(df))
+        assert got == [True, True, False, False, True, True, False, False, True]
+
+    def test_string_ranges(self):
+        part = RangePartition("r", "s", ("b", "d", "x"))
+        sk = ProvenanceSketch(part, frozenset({1, 3}))
+        df = pd.DataFrame({"s": ["a", "b", "c", "d", "e", "y"]})
+        got = list(sketch_predicate(sk).eval_pandas(df))
+        assert got == [False, False, True, True, False, True]
 
     def test_full_coverage_none(self):
         sk = ProvenanceSketch(P8, frozenset(range(8)))
@@ -116,8 +85,20 @@ class TestHybridPredicate:
         sk = ProvenanceSketch(P8, frozenset())
         assert sketch_predicate(sk) == Lit(False)
 
-
-def _contains_membership(e) -> bool:
-    if isinstance(e, RangeMembership):
-        return True
-    return any(_contains_membership(c) for c in e.children())
+    @given(
+        st.sets(st.integers(0, 15), min_size=1, max_size=15),
+        st.lists(st.integers(-5, 170), min_size=1, max_size=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_membership_matches_fragment_of(self, frags, vals):
+        """Within the budget the predicate is exactly fragment_of in the
+        sketch; beyond it, a superset with at most MAX_DISJUNCTS ranges."""
+        sk = ProvenanceSketch(P16, frozenset(frags))
+        pred = sketch_predicate(sk)
+        got = list(pred.eval_pandas(pd.DataFrame({"a": vals})))
+        exp = [P16.fragment_of(v) in frags for v in vals]
+        if len(P16.merged_ranges(frags)) <= MAX_DISJUNCTS:
+            assert got == exp
+        else:
+            assert all(g for g, e in zip(got, exp) if e)
+            assert isinstance(pred, Or) and len(pred.terms) <= MAX_DISJUNCTS

@@ -11,9 +11,19 @@ from repro.algebra.ops import Aggregate, AggSpec, Select, TableAccess, TopK
 from repro.algebra.to_sql import to_sql
 from repro.core.ranges import RangePartition, equi_depth
 from repro.core.sketch import ProvenanceSketch
-from repro.core.use import apply_sketches, range_condition, sketch_predicate
-from repro.oracle import assert_equivalent
-from repro.physical.storage import pushed_filters, read_table, write_clustered
+from repro.core.use import (
+    MAX_DISJUNCTS,
+    apply_sketches,
+    range_condition,
+    sketch_predicate,
+)
+from repro.oracle import _canon, assert_equivalent
+from repro.physical.storage import (
+    physical_plan,
+    pushed_filters,
+    read_table,
+    write_clustered,
+)
 
 CITIES = pd.DataFrame(
     {
@@ -25,6 +35,11 @@ CITIES = pd.DataFrame(
 SCAN = TableAccess("cities", ("popden", "city", "state"))
 F_STATE = RangePartition("cities", "state", ("DE", "MI", "OK"))
 F_POPDEN = RangePartition("cities", "popden", (3000, 5000))
+F_POPDEN_FINE = RangePartition(
+    "cities",
+    "popden",
+    (1000, 2000, 2500, 3000, 3700, 4000, 4200, 4500, 5000, 5500, 6000, 6500, 7000),
+)
 
 
 class TestPredicateConstruction:
@@ -134,3 +149,23 @@ class TestParquetPushdown:
         a = compile_op(q, db).toPandas()
         b = compile_op(apply_sketches(q, sk), db).toPandas()
         pd.testing.assert_frame_equal(a, b)
+
+    def test_large_sketch_native_or(self, spark, parquet_cities):
+        # every city but Austin (popden 3700, fragment 4): five merged
+        # ranges, coarsened to MAX_DISJUNCTS without readmitting Austin
+        db = {"cities": parquet_cities}
+        q = Aggregate(
+            Select(SCAN, Col("city").ne(Lit("Austin"))),
+            ("state",),
+            (AggSpec("count", None, "n"),),
+        )
+        sk = ProvenanceSketch(F_POPDEN_FINE, frozenset({1, 2, 6, 8, 10, 12}))
+        assert len(F_POPDEN_FINE.merged_ranges(sk.fragments)) > MAX_DISJUNCTS
+        df = compile_op(apply_sketches(q, {"cities": sk}), db)
+        got = df.toPandas()
+        plan = physical_plan(df)
+        assert "ArrowEvalPython" not in plan and "BatchEvalPython" not in plan
+        pushed = " ".join(pushed_filters(df))
+        assert "Or(" in pushed and "popden" in pushed
+        want = compile_op(q, db).toPandas()
+        pd.testing.assert_frame_equal(_canon(got), _canon(want))
