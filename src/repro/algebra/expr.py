@@ -16,13 +16,28 @@ and reuse checkers (``repro.solver``).
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import pandas as pd
 
-_CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}
-_ARITH_OPS = {"+", "-", "*", "/"}
+# Op string -> the Python operator; Spark Columns and pandas Series both
+# overload these, so one table serves ``to_spark`` and ``eval_pandas``.
+_CMP_OPS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_ARITH_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
 
 
 def _sql_literal(v: Any) -> str:
@@ -200,12 +215,10 @@ class BinOp(Expr):
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
     def to_spark(self):
-        l, r = self.left.to_spark(), self.right.to_spark()
-        return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[self.op]
+        return _ARITH_OPS[self.op](self.left.to_spark(), self.right.to_spark())
 
     def eval_pandas(self, df):
-        l, r = self.left.eval_pandas(df), self.right.eval_pandas(df)
-        return {"+": l + r, "-": l - r, "*": l * r, "/": l / r}[self.op]
+        return _ARITH_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
 
     def columns(self):
         return self.left.columns() | self.right.columns()
@@ -233,26 +246,10 @@ class Cmp(Expr):
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
 
     def to_spark(self):
-        l, r = self.left.to_spark(), self.right.to_spark()
-        return {
-            "=": l == r,
-            "<>": l != r,
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-        }[self.op]
+        return _CMP_OPS[self.op](self.left.to_spark(), self.right.to_spark())
 
     def eval_pandas(self, df):
-        l, r = self.left.eval_pandas(df), self.right.eval_pandas(df)
-        return {
-            "=": l == r,
-            "<>": l != r,
-            "<": l < r,
-            "<=": l <= r,
-            ">": l > r,
-            ">=": l >= r,
-        }[self.op]
+        return _CMP_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
 
     def columns(self):
         return self.left.columns() | self.right.columns()

@@ -58,9 +58,6 @@ class Op:
     def aggregate(self, group_by, aggs) -> "Aggregate":
         return Aggregate(self, tuple(group_by), tuple(aggs))
 
-    def topk(self, order, k) -> "TopK":
-        return TopK(self, tuple(order), k)
-
     def distinct(self) -> "Distinct":
         return Distinct(self)
 

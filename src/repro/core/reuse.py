@@ -41,6 +41,7 @@ from repro.core.safety import (
     Psi,
     Stats,
     _project_relation,
+    _union_psi,
     expr_conjuncts,
     pred_conjuncts,
     prime,
@@ -122,16 +123,7 @@ def ge(q_new: Op, q_old: Op, stats: Optional[Stats] = None) -> ReuseResult:
         rr = ge(q_new.right, q_old.right, stats)
         if not (rl.reusable and rr.reusable):
             return ReuseResult(False, {}, rl.reason or rr.reason)
-        psi: Psi = {}
-        for la, ra in zip(q_old.left.schema(), q_old.right.schema()):
-            pl, pr = rl.psi.get(la), rr.psi.get(ra)
-            if pl == "=" and pr == "=":
-                psi[la] = "="
-            elif pl in ("=", "<=") and pr in ("=", "<="):
-                psi[la] = "<="
-            elif pl in ("=", ">=") and pr in ("=", ">="):
-                psi[la] = ">="
-        return ReuseResult(True, psi)
+        return ReuseResult(True, _union_psi(q_old, rl.psi, rr.psi))
     if isinstance(q_old, (Join, CrossProduct)):
         rl = ge(q_new.left, q_old.left, stats)
         rr = ge(q_new.right, q_old.right, stats)

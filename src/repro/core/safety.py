@@ -212,16 +212,8 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
         if not (rl.safe and rr.safe):
             return SafetyResult(False, {}, rl.topk_caveat or rr.topk_caveat,
                                 rl.reason or rr.reason)
-        psi: Psi = {}
-        for la, ra in zip(q.left.schema(), q.right.schema()):
-            pl, pr = rl.psi.get(la), rr.psi.get(ra)
-            if pl == "=" and pr == "=":
-                psi[la] = "="
-            elif pl in ("=", "<=") and pr in ("=", "<="):
-                psi[la] = "<="
-            elif pl in ("=", ">=") and pr in ("=", ">="):
-                psi[la] = ">="
-        return SafetyResult(True, psi, rl.topk_caveat or rr.topk_caveat)
+        return SafetyResult(True, _union_psi(q, rl.psi, rr.psi),
+                            rl.topk_caveat or rr.topk_caveat)
     if isinstance(q, (Join, CrossProduct)):
         rl = gc(q.left, X, stats)
         rr = gc(q.right, X, stats)
@@ -261,6 +253,22 @@ def _selection_ok(cond: Expr, psi: Psi, below: Op, stats: Optional[Stats]) -> bo
         return True
     hyp = _hyp(psi, below, stats) + [cond]
     return implies(hyp, prime(cond))
+
+
+def _union_psi(q: Union, psi_l: Psi, psi_r: Psi) -> Psi:
+    """Psi of a union from its inputs' Psi: an output attribute keeps
+    the strongest relation that both inputs guarantee (Fig. 3 and
+    Fig. 4 share this rule)."""
+    psi: Psi = {}
+    for la, ra in zip(q.left.schema(), q.right.schema()):
+        pl, pr = psi_l.get(la), psi_r.get(ra)
+        if pl == "=" and pr == "=":
+            psi[la] = "="
+        elif pl in ("=", "<=") and pr in ("=", "<="):
+            psi[la] = "<="
+        elif pl in ("=", ">=") and pr in ("=", ">="):
+            psi[la] = ">="
+    return psi
 
 
 def _project_relation(e: Expr, psi: Psi) -> Optional[str]:

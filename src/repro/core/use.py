@@ -25,12 +25,14 @@ from repro.algebra.expr import And, Col, Expr, Lit, Or
 from repro.algebra.ops import Op, Select, TableAccess, replace_tables
 from repro.core.sketch import ProvenanceSketch
 
-# Disjunct budget of one sketch predicate. Each disjunct costs ~15-20 ms
-# to build as a Spark Column (py4j round trips), more than the extra
-# precision saves at these scales: on the tpch-disk benchmark (TPC-H-lite
-# SF 0.01, PS400, 4 cores), the Q[P] median at budgets 4/8/16/32/64 was
-# 0.24/0.28/0.40/0.64/0.78 s for Q19 and 0.32/0.32/0.45/0.47/0.46 s for
-# Q10, and budget 32 made the workload's tail latency ~12 % worse.
+# Disjunct budget of one sketch predicate. Each disjunct costs ~6 ms to
+# build as a Spark Column (py4j round trips; an Or of 64 ranges takes
+# 0.4 s on a 4-core host). The budget was chosen when a disjunct cost
+# ~15-20 ms, more than the extra precision saved at these scales: on the
+# tpch-disk benchmark (TPC-H-lite SF 0.01, PS400, 4 cores), the Q[P]
+# median at budgets 4/8/16/32/64 was 0.24/0.28/0.40/0.64/0.78 s for Q19
+# and 0.32/0.32/0.45/0.47/0.46 s for Q10, and budget 32 made the
+# workload's tail latency ~12 % worse. Sweep again before changing it.
 MAX_DISJUNCTS = 4
 
 

@@ -4,13 +4,12 @@ PBDS's payoff comes from translating sketches into selection
 conditions that existing physical design can serve (paper Sec. 8).
 Here the physical design artifacts are:
 
-* ``zonemap``  — block min/max statistics (Oracle zone maps / Postgres
-  BRIN) simulated over storage-ordered data, reporting exactly which
-  blocks a sketch predicate allows the scan to skip;
 * ``storage``  — Parquet tables clustered on the sketch attribute;
-  Catalyst pushes the sketch filters into the scan (asserted via the
-  ``PushedFilters`` entry of the physical plan) and the Parquet reader
-  prunes row groups with the same min/max logic for real;
-* ``stats``    — equi-depth histograms and min/max table statistics,
-  standing in for the DBMS statistics the paper reads.
+  Catalyst pushes the sketch filters into the scan and the Parquet
+  reader prunes row groups with their min/max statistics, the
+  zone-map / BRIN skipping of the paper. ``scan_report`` reads the
+  pushed filters and the rows and files actually scanned from the
+  executed plan;
+* ``stats``    — min/max table statistics, standing in for the DBMS
+  statistics the paper reads.
 """

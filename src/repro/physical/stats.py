@@ -1,17 +1,16 @@
-"""Database statistics (min/max per attribute, equi-depth histograms).
+"""Database statistics: min/max per attribute.
 
 The paper's safety check (Sec. 5) bounds base-attribute values with
-``min(a) <= a <= max(a)`` from DBMS statistics, and its partitions are
-derived from the DBMS's equi-depth histograms (Sec. 9.3). These
-helpers compute both from Spark or pandas tables.
+``min(a) <= a <= max(a)`` from DBMS statistics; ``table_stats_pandas``
+computes these bounds from pandas tables. The partitions, which the
+paper derives from the DBMS's equi-depth histograms (Sec. 9.3), are
+cut by ``repro.core.ranges.equi_depth``.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def table_stats_pandas(
@@ -36,21 +35,3 @@ def table_stats_pandas(
         out[rel] = st
     return out
 
-
-def table_stats_spark(
-    tables: Mapping[str, DataFrame], attrs: Mapping[str, Sequence[str]]
-) -> dict[str, dict[str, tuple]]:
-    """Same as above but computed by Spark aggregation."""
-    out: dict[str, dict[str, tuple]] = {}
-    for rel, df in tables.items():
-        cols = [c for c in attrs.get(rel, []) if c in df.columns]
-        if not cols:
-            out[rel] = {}
-            continue
-        exprs = []
-        for c in cols:
-            exprs.append(F.min(c).alias(f"min_{c}"))
-            exprs.append(F.max(c).alias(f"max_{c}"))
-        row = df.agg(*exprs).collect()[0]
-        out[rel] = {c: (row[f"min_{c}"], row[f"max_{c}"]) for c in cols}
-    return out

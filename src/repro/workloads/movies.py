@@ -25,7 +25,6 @@ from repro.algebra.ops import (
     TableAccess,
     TopK,
 )
-from repro.workloads.templates import ParamSpec, Template
 
 SCHEMAS = {
     "ratings": ("r_userid", "r_movieid", "r_rating"),
@@ -97,12 +96,3 @@ SKETCH_ATTRS = {
     "M-Q2": {"ratings": "r_movieid"},
     "M-Q3": {"ratings": "r_movieid", "movie_tags": "t_movieid"},
 }
-
-
-def mq2_template(*, mean: float, sdv: float) -> Template:
-    return Template(
-        name="M-Q2",
-        ir=mq2(Param("t")),
-        params=(ParamSpec("t", mean=mean, sdv=sdv, lo=1),),
-        sketch_attrs=SKETCH_ATTRS["M-Q2"],
-    )

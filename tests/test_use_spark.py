@@ -1,7 +1,10 @@
 """Q[P] on Spark: result preservation, predicate shape, and the core
 physical claim — injected sketch filters are pushed into Parquet scans
 (the paper's "expose relevance as selection conditions the DBMS can
-serve from physical design")."""
+serve from physical design"), and the scan then skips the row groups
+the sketch excludes when the table is clustered on the sketch
+attribute (measured from the executed plan, not simulated)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -18,12 +21,7 @@ from repro.core.use import (
     sketch_predicate,
 )
 from repro.oracle import _canon, assert_equivalent
-from repro.physical.storage import (
-    physical_plan,
-    pushed_filters,
-    read_table,
-    write_clustered,
-)
+from repro.physical.storage import read_table, scan_report, write_clustered
 
 CITIES = pd.DataFrame(
     {
@@ -120,14 +118,14 @@ class TestParquetPushdown:
         q = Aggregate(SCAN, ("state",), (AggSpec("count", None, "n"),))
         sk = {"cities": ProvenanceSketch(F_POPDEN, frozenset({1}))}
         df = compile_op(apply_sketches(q, sk), db)
-        pushed = " ".join(pushed_filters(df))
+        pushed = " ".join(scan_report(df).pushed)
         assert "popden" in pushed, f"sketch range not pushed to scan: {pushed}"
         assert "GreaterThan" in pushed and "LessThanOrEqual" in pushed
 
     def test_plain_query_no_popden_filter(self, spark, parquet_cities):
         db = {"cities": parquet_cities}
         q = Aggregate(SCAN, ("state",), (AggSpec("count", None, "n"),))
-        pushed = " ".join(pushed_filters(compile_op(q, db)))
+        pushed = " ".join(scan_report(compile_op(q, db)).pushed)
         assert "popden" not in pushed
 
     def test_pushed_disjunction(self, spark, parquet_cities):
@@ -135,7 +133,7 @@ class TestParquetPushdown:
         q = Select(SCAN, Col("city").ne(Lit("")))
         sk = {"cities": ProvenanceSketch(F_POPDEN, frozenset({0, 2}))}
         df = compile_op(apply_sketches(q, sk), db)
-        pushed = " ".join(pushed_filters(df))
+        pushed = " ".join(scan_report(df).pushed)
         assert "Or" in pushed and "popden" in pushed
 
     def test_results_equal_on_parquet(self, spark, parquet_cities):
@@ -163,9 +161,70 @@ class TestParquetPushdown:
         assert len(F_POPDEN_FINE.merged_ranges(sk.fragments)) > MAX_DISJUNCTS
         df = compile_op(apply_sketches(q, {"cities": sk}), db)
         got = df.toPandas()
-        plan = physical_plan(df)
-        assert "ArrowEvalPython" not in plan and "BatchEvalPython" not in plan
-        pushed = " ".join(pushed_filters(df))
+        rep = scan_report(df)
+        assert rep.udf_nodes == 0
+        pushed = " ".join(rep.pushed)
         assert "Or(" in pushed and "popden" in pushed
         want = compile_op(q, db).toPandas()
         pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+class TestPhysicalClaim:
+    """The paper's core physical claim: a sketch's selectivity is only
+    realizable as I/O skipping when physical design (clustering /
+    zone maps) aligns with the sketch attribute. Parquet row-group
+    min/max statistics play the zone maps; ``scan_report`` reads the
+    rows the scan actually produced."""
+
+    N = 20_000
+    SCAN = TableAccess("r", ("a",))
+    COUNT = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        g = np.random.default_rng(0)
+        return pd.Series(g.integers(0, 100_000, self.N), name="a")
+
+    @pytest.fixture(scope="class")
+    def part(self, values):
+        return equi_depth(values, "r", "a", 20)
+
+    @pytest.fixture(scope="class")
+    def clustered(self, spark, values, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("pq") / "clustered")
+        write_clustered(spark.createDataFrame(values.to_frame()), path, "a")
+        return {"r": read_table(spark, path)}
+
+    @pytest.fixture(scope="class")
+    def random_order(self, spark, values, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("pq") / "random")
+        spark.createDataFrame(values.to_frame()).repartition(8).write.parquet(path)
+        return {"r": read_table(spark, path)}
+
+    def _run(self, q, db):
+        """(result rows, rows scanned) of ``q``."""
+        df = compile_op(q, db)
+        return df.collect(), scan_report(df).rows
+
+    def _qp(self, part, frags):
+        return apply_sketches(self.COUNT, {"r": ProvenanceSketch(part, frozenset(frags))})
+
+    def test_clustered_skips_proportionally(self, part, clustered):
+        _, rows = self._run(self._qp(part, {3}), clustered)
+        assert 0 < rows < 0.15 * self.N  # ~1/20 of the data + row-group edges
+
+    def test_random_order_cannot_skip(self, part, random_order):
+        _, rows = self._run(self._qp(part, {3}), random_order)
+        assert rows > 0.95 * self.N  # every row group overlaps the range
+
+    def test_adjacent_merge_reduces_ranges_not_rows(self, part, clustered):
+        frags = {2, 3, 4, 9}
+        assert len(part.merged_ranges(frags)) == 2  # {2,3,4} coalesce + {9}
+        merged = self._qp(part, frags)
+        exact = Or(*(range_condition("a", *part.bounds(f)) for f in sorted(frags)))
+        unmerged = Aggregate(Select(self.SCAN, exact), (), self.COUNT.aggs)
+        got, rows = self._run(merged, clustered)
+        want, rows_unmerged = self._run(unmerged, clustered)
+        assert 0 < rows < self.N
+        assert rows_unmerged == rows
+        assert got == want
