@@ -6,7 +6,7 @@ benchmarks the PS-400 use-run (the amortized steady-state cost)."""
 import pytest
 
 from repro.algebra.compile_spark import compile_op
-from repro.core.capture import capture_sketch, instrument
+from repro.core.capture import capture_sketch
 from repro.core.selftune import amortization_table
 from repro.core.use import apply_sketches
 from repro.experiments.common import timed
@@ -25,8 +25,7 @@ def costs(tpch_ds):
         for n in (32, 400, 4000):
             parts = tpch_ds.partitions(tpch.SKETCH_ATTRS[qname], n)
             sk = capture_sketch(q, tpch_ds.disk, parts)
-            plan = instrument(q, parts)
-            cap = timed(lambda: compile_op(plan, tpch_ds.disk).collect(), reps=2)
+            cap = timed(lambda: capture_sketch(q, tpch_ds.disk, parts), reps=2)
             use = timed(
                 lambda: compile_op(apply_sketches(q, sk), tpch_ds.disk).collect(),
                 reps=2,

@@ -34,15 +34,20 @@ def _agg_column(df: DataFrame, spec: AggSpec) -> Column:
     if spec.func == "count" and spec.attr is None:
         return F.count(F.lit(1)).alias(spec.alias)
     if spec.func == "sketch":
-        # BITOR of sketch annotations (paper Fig. 6 r3/r7). With the
-        # set encoding: int annotations (the *delay* representation)
-        # merge via collect_set; array annotations via flatten+distinct.
+        # BITOR of sketch annotations (paper Fig. 6 r3/r7) as a set of
+        # raw keys: scalar keys merge via collect_set, key arrays via
+        # flatten+distinct. collect_set drops NULL, but a NULL key is
+        # provenance too, so it is appended when the group has one.
         dtype = df.schema[spec.attr].dataType
         col = F.col(spec.attr)
         if isinstance(dtype, ArrayType):
             merged = F.array_distinct(F.flatten(F.collect_list(col)))
         else:
             merged = F.collect_set(col)
+            merged = F.when(
+                F.bool_or(col.isNull()),
+                F.concat(merged, F.array(F.lit(None).cast(dtype))),
+            ).otherwise(merged)
         return F.array_sort(merged).alias(spec.alias)
     fn = {
         "sum": F.sum,

@@ -360,7 +360,8 @@ class Not(Expr):
 @dataclass(frozen=True)
 class FragmentId(Expr):
     """Maps an attribute value to its fragment index in a range
-    partition — the INIT step of sketch capture (Sec. 7.1).
+    partition — the per-tuple INIT step of Sec. 7.1, kept for the
+    Fig. 12a micro-benchmark (capture itself maps keys on the driver).
 
     ``method`` selects the paper's two implementations: ``"case"``
     (linear CASE chain) or ``"bsearch"`` (binary search over range

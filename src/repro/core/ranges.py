@@ -36,11 +36,14 @@ class RangePartition:
         return bisect.bisect_left(self.boundaries, value)
 
     def fragment_of_series(self, s: pd.Series) -> pd.Series:
-        bnds = np.asarray(self.boundaries)
-        return pd.Series(
-            np.searchsorted(bnds, s.to_numpy(), side="left").astype("int64"),
-            index=s.index,
+        """Fragment index per value. A missing value (NULL, NaN) falls
+        in the last fragment, where binary search puts a NaN."""
+        ids = np.full(len(s), self.n_fragments - 1, dtype="int64")
+        known = s.notna().to_numpy()
+        ids[known] = np.searchsorted(
+            np.asarray(self.boundaries), s[known].to_numpy(), side="left"
         )
+        return pd.Series(ids, index=s.index)
 
     def bounds(self, i: int) -> tuple[Optional[Any], Optional[Any]]:
         """(exclusive lower, inclusive upper) of fragment i; ``None``

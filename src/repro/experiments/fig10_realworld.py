@@ -13,8 +13,7 @@ use 1000-fragment equi-depth partitions.
 """
 from __future__ import annotations
 
-from repro.algebra.compile_spark import compile_op
-from repro.core.capture import capture_sketch, instrument
+from repro.core.capture import capture_sketch
 from repro.core.use import apply_sketches
 from repro.experiments.common import Dataset, fmt_table, query_seconds, timed
 from repro.workloads import crimes as WC
@@ -66,8 +65,7 @@ def run(spark, ds_crimes, ds_movies, ds_sof, *, reps: int = 3) -> list[dict]:
         parts = _partitions(ds, attrs, n_frag)
         nops = query_seconds(q, tables, reps=reps)
         sketches = capture_sketch(q, tables, parts)
-        cap_plan = instrument(q, parts)
-        cap = timed(lambda: compile_op(cap_plan, tables).collect(), reps=reps)
+        cap = timed(lambda: capture_sketch(q, tables, parts), reps=reps)
         ps = query_seconds(apply_sketches(q, sketches), tables, reps=reps)
         rows.append(
             {

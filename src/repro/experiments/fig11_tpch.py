@@ -5,7 +5,8 @@ For each beneficiary query and partition size:
 * ``nops_s``      — plain query runtime,
 * ``ps_s``        — runtime of Q[P] with the captured sketch,
 * ``speedup``     — nops_s / ps_s (paper: up to orders of magnitude),
-* ``cap_s``       — runtime of the capture (INSTR) query,
+* ``cap_s``       — runtime of the whole capture: the instrumented
+  (INSTR) query plus mapping its keys to fragments,
 * ``cap_overhead_pct`` — 100 * (cap_s - nops_s) / nops_s (paper:
   usually < 100 % up to PS10000).
 
@@ -14,8 +15,7 @@ path); ``storage='mem'`` scans cached DataFrames (the MonetDB path).
 """
 from __future__ import annotations
 
-from repro.algebra.compile_spark import compile_op
-from repro.core.capture import capture_sketch, instrument
+from repro.core.capture import capture_sketch
 from repro.core.use import apply_sketches
 from repro.experiments.common import Dataset, fmt_table, query_seconds, timed
 from repro.workloads import tpch
@@ -47,10 +47,7 @@ def run(
             for n in n_frags:
                 parts = ds.partitions(attrs, n)
                 sketches = capture_sketch(q, tables, parts)
-                cap_plan = instrument(q, parts)
-                cap = timed(
-                    lambda: compile_op(cap_plan, tables).collect(), reps=reps
-                )
+                cap = timed(lambda: capture_sketch(q, tables, parts), reps=reps)
                 ps = query_seconds(apply_sketches(q, sketches), tables, reps=reps)
                 rows.append(
                     {

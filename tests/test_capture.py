@@ -8,6 +8,7 @@ aggregation's BITOR unions exactly the contributing fragments.
 import pandas as pd
 import pytest
 
+from repro.algebra.compile_spark import compile_op
 from repro.algebra.expr import And, Col, Lit, Or
 from repro.algebra.interp import accurate_sketch
 from repro.algebra.ops import (
@@ -23,6 +24,9 @@ from repro.algebra.ops import (
 )
 from repro.core.capture import ann_col, capture_sketch, instrument
 from repro.core.ranges import RangePartition, equi_depth
+from repro.physical.storage import scan_report
+from repro.workloads import crimes as WC
+from repro.workloads import tpch as WT
 
 CITIES = pd.DataFrame(
     {
@@ -47,9 +51,9 @@ def db(spark):
     }
 
 
-def assert_capture_accurate(q, db, partitions, **kw):
-    got = capture_sketch(q, db, partitions, **kw)
-    exp = accurate_sketch(q, PDB, partitions, minmax_witness=True)
+def assert_capture_accurate(q, db, partitions, pdb=PDB):
+    got = capture_sketch(q, db, partitions)
+    exp = accurate_sketch(q, pdb, partitions, minmax_witness=True)
     for rel in partitions:
         assert got[rel].fragments == exp[rel], (
             rel,
@@ -119,6 +123,26 @@ class TestPerOperator:
         full = accurate_sketch(q, PDB, {"cities": F_POPDEN}, minmax_witness=False)
         assert got["cities"].fragments < full["cities"]
 
+    @pytest.mark.parametrize("part", [F_STATE, RangePartition("cities", "popden", (5500, 6500))])
+    def test_minmax_witness_ties(self, spark, part):
+        # two witnesses of one group (CA's max 5000 twice) must not
+        # count as two groups above the max aggregate
+        t = pd.DataFrame(
+            {
+                "popden": [5000, 5000, 7000, 6000],
+                "city": ["a", "b", "c", "d"],
+                "state": ["CA", "CA", "NY", "TX"],
+            }
+        )
+        inner = Aggregate(SCAN, ("state",), (AggSpec("max", "popden", "mx"),))
+        q = Select(
+            Aggregate(inner, ("mx",), (AggSpec("count", None, "n"),)),
+            Col("n").lt(Lit(2)),
+        )
+        assert_capture_accurate(
+            q, {"cities": spark.createDataFrame(t)}, {"cities": part}, {"cities": t}
+        )
+
     def test_min_witness_branch(self, db):
         q = Aggregate(SCAN, ("state",), (AggSpec("min", "popden", "mn"),))
         assert_capture_accurate(q, db, {"cities": F_POPDEN})
@@ -132,14 +156,69 @@ class TestPerOperator:
         q = Select(SCAN, Or(Col("state").eq(Lit("AK")), Col("popden").lt(Lit(2200))))
         assert_capture_accurate(q, db, {"cities": F_POPDEN})
 
+    @pytest.mark.parametrize("states_left", [True, False])
+    def test_union_branch_without_relation(self, db, states_left):
+        # the cities branch carries no states key: an empty array that
+        # the union widens to the string key type
+        sts = Project(Select(SSCAN, Col("region").ne(Lit("E"))), ((Col("st"), "s"),))
+        cts = Project(SCAN, ((Col("city"), "s"),))
+        q = Union(sts, cts) if states_left else Union(cts, sts)
+        assert_capture_accurate(q, db, {"states": RangePartition("states", "st", ("M",))})
+
+
+NULLS = pd.DataFrame({"a": [1.0, None, 5.0, 8.0, None], "v": [1, 99, 3, 4, 2]})
+NSCAN = TableAccess("n", ("a", "v"))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        TopK(NSCAN, (("v", False),), 1),
+        Aggregate(NSCAN, ("a",), (AggSpec("sum", "v", "s"),)),
+        Aggregate(Select(NSCAN, Col("v").gt(Lit(2))), (), (AggSpec("sum", "v", "s"),)),
+        Distinct(Project(NSCAN, ((Col("a"), "a"),))),
+    ],
+    ids=["topk", "group_on_key", "global", "distinct"],
+)
+def test_null_key_in_provenance(spark, q):
+    # Spark holds SQL NULLs, the interpreter NaN; both map to the last
+    # fragment (NULL has no fragment of its own yet)
+    sdf = spark.createDataFrame(
+        [(None if pd.isna(a) else int(a), v) for a, v in NULLS.itertuples(index=False)],
+        "a int, v long",
+    )
+    assert_capture_accurate(
+        q, {"n": sdf}, {"n": RangePartition("n", "a", (3, 6))}, {"n": NULLS}
+    )
+
+
+BENCHMARK_CAPTURES = [
+    pytest.param("tpch", WT.all_queries()[n], WT.SKETCH_ATTRS[n], id=n)
+    for n in ("Q3", "Q10", "Q15", "Q18", "Q19")
+] + [
+    pytest.param("crimes", WC.cq1(), WC.SKETCH_ATTRS["C-Q1"], id="C-Q1"),
+    *(
+        pytest.param("crimes", WC.cq2(t), WC.SKETCH_ATTRS["C-Q2"], id=f"C-Q2@{t}")
+        for t in (50, 150, 400)
+    ),
+]
+
+
+@pytest.mark.parametrize("workload,q,attrs", BENCHMARK_CAPTURES)
+def test_benchmark_capture_native(request, workload, q, attrs):
+    """Lazy INIT on the benchmark's capture queries at PS400: the
+    instrumented plan runs no Python UDF and the sketch equals the
+    interpreter's lineage sketch."""
+    sdb = request.getfixturevalue(f"{workload}_db")
+    pdb = request.getfixturevalue(f"{workload}_pdb")
+    parts = {r: equi_depth(pdb[r][a], r, a, 400) for r, a in attrs.items()}
+    df = compile_op(instrument(q, parts), sdb)
+    df.collect()
+    assert scan_report(df).udf_nodes == 0
+    assert_capture_accurate(q, sdb, parts, pdb)
+
 
 class TestMethodsAndEncoding:
-    def test_case_and_bsearch_agree(self, db):
-        q = Aggregate(SCAN, ("state",), (AggSpec("count", None, "n"),))
-        a = capture_sketch(q, db, {"cities": F_POPDEN}, method="case")
-        b = capture_sketch(q, db, {"cities": F_POPDEN}, method="bsearch")
-        assert a["cities"].fragments == b["cities"].fragments
-
     def test_instrument_rejects_unknown_relation(self):
         with pytest.raises(ValueError):
             instrument(SCAN, {"nope": F_STATE})

@@ -141,6 +141,15 @@ class TestFragmentId:
         sql = FragmentId(Col("a"), (2,)).to_sql()
         assert "CASE" in sql and "WHEN a <= 2 THEN 0" in sql and "ELSE 1" in sql
 
+    def test_case_and_bsearch_agree(self, spark):
+        # the two Spark INIT methods of the Fig. 12a table
+        df = pd.DataFrame({"a": [0, 2, 3, 5, 7, 8, 11]})
+        sdf = spark.createDataFrame(df)
+        exp = list(FragmentId(Col("a"), (2, 5, 8)).eval_pandas(df))
+        for method in ("case", "bsearch"):
+            f = FragmentId(Col("a"), (2, 5, 8), method)
+            assert [r[0] for r in sdf.select(f.to_spark()).collect()] == exp, method
+
     def test_invalid_cmp_op(self):
         with pytest.raises(ValueError):
             Cmp("!", Col("a"), Lit(1))
