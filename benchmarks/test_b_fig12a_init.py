@@ -5,7 +5,6 @@ magnitude at PS10K) appears here as the CASE chain growing linearly in
 arms (larger chains also blow up Catalyst plan compilation)."""
 import pytest
 
-from repro.algebra.compile_spark import compile_op
 from repro.experiments.fig12_capture_opts import init_plan
 
 CASES = [("case", 32), ("case", 1000), ("bsearch", 32), ("bsearch", 1000), ("bsearch", 10000)]
@@ -22,9 +21,9 @@ def init_tables(crimes_ds):
 
 @pytest.mark.parametrize("method,n_frag", CASES, ids=[f"{m}-{n}" for m, n in CASES])
 def test_init(benchmark, crimes_ds, init_tables, method, n_frag):
-    plan = init_plan(crimes_ds, n_frag, method)
+    plan = init_plan(crimes_ds, init_tables["crimes"], n_frag, method)
     out = benchmark.pedantic(
-        lambda: compile_op(plan, init_tables).collect(),
+        plan.collect,
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert out[0]["mx"] <= n_frag - 1

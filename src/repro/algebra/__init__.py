@@ -8,8 +8,10 @@ the reproduction needs its own logical IR:
 * ``expr``           — scalar expressions (columns, literals, params,
                         arithmetic, comparisons, boolean connectives)
 * ``ops``            — operators with schema inference
-* ``to_sql``         — IR -> SQL text (DuckDB oracle + debugging)
-* ``compile_spark``  — IR -> Spark DataFrame (Catalyst optimizes it)
+* ``to_sql``         — IR -> SQL text, the one lowering: DuckDB dialect
+                        for the oracle, Spark dialect for execution
+* ``compile_spark``  — IR -> Spark DataFrame: runs the Spark SQL text
+                        over temp views (Catalyst optimizes it)
 * ``interp``         — pandas reference evaluator with exact lineage,
                         the ground truth for provenance-sketch capture
 """
@@ -19,6 +21,7 @@ from repro.algebra.expr import (  # noqa: F401
     Cmp,
     Col,
     Expr,
+    IsNull,
     Lit,
     Not,
     Or,

@@ -2,8 +2,9 @@
 
 Expressions are immutable trees. Each node can
 
-* render itself as SQL (``to_sql``) for the DuckDB oracle,
-* compile to a PySpark ``Column`` (``to_spark``),
+* render itself as SQL (``to_sql``) in one of two dialects: ``duckdb``
+  (the default) for the correctness oracle, ``spark`` for the one SQL
+  text per query that ``compile_spark.compile_op`` hands to Spark,
 * evaluate over a pandas DataFrame (``eval_pandas``) for the reference
   interpreter,
 * report referenced columns (``columns``) and parameters (``params``),
@@ -16,14 +17,21 @@ and reuse checkers (``repro.solver``).
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
 import pandas as pd
 
-# Op string -> the Python operator; Spark Columns and pandas Series both
-# overload these, so one table serves ``to_spark`` and ``eval_pandas``.
+
+def _null_safe_eq(l, r):
+    return (l == r) | (l.isna() & r.isna())
+
+
+# Op string -> the pandas operator for ``eval_pandas``. ``<=>`` is the
+# null-safe equality (SQL ``IS NOT DISTINCT FROM``): NULL matches NULL.
 _CMP_OPS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -31,6 +39,7 @@ _CMP_OPS = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
+    "<=>": _null_safe_eq,
 }
 _ARITH_OPS = {
     "+": operator.add,
@@ -40,18 +49,50 @@ _ARITH_OPS = {
 }
 
 
-def _sql_literal(v: Any) -> str:
+def ident(name: str, dialect: str = "duckdb") -> str:
+    """An attribute or relation name; quoted for Spark, so that no
+    name can be read as a keyword."""
+    return f"`{name}`" if dialect == "spark" else name
+
+
+def sql_literal(v: Any, dialect: str = "duckdb") -> str:
+    """A constant as SQL text that parses back to the same value.
+
+    Spark differs from DuckDB in three rules: a backslash in a string
+    is an escape character; an unsuffixed ``0.05`` is a
+    ``DECIMAL(2,2)``, so a float gets the double suffix ``D``; and a
+    pure date stays a ``DATE``.
+    """
+    if isinstance(v, np.datetime64):
+        v = pd.Timestamp(v)
+    elif isinstance(v, np.generic):
+        v = v.item()
+    if v is None:
+        return "NULL"
     if isinstance(v, str):
+        if dialect == "spark":
+            v = v.replace("\\", "\\\\").replace("'", "\\'")
+            return f"'{v}'"
         return "'" + v.replace("'", "''") + "'"
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
-    if isinstance(v, (_dt.date, _dt.datetime, pd.Timestamp)):
-        # TIMESTAMP, not DATE: DuckDB refuses TIMESTAMP_NS-vs-DATE
-        # comparisons, and the synthetic columns are pandas datetime64
+    if isinstance(v, _dt.datetime):
+        # TIMESTAMP for DuckDB also for dates: it refuses
+        # TIMESTAMP_NS-vs-DATE comparisons, and the synthetic columns
+        # are pandas datetime64
         ts = pd.Timestamp(v)
-        return f"TIMESTAMP '{ts.strftime('%Y-%m-%d %H:%M:%S')}'"
-    if v is None:
-        return "NULL"
+        fmt = "%Y-%m-%d %H:%M:%S.%f" if ts.microsecond else "%Y-%m-%d %H:%M:%S"
+        return f"TIMESTAMP '{ts.strftime(fmt)}'"
+    if isinstance(v, _dt.date):
+        if dialect == "spark":
+            return f"DATE '{v.isoformat()}'"
+        return sql_literal(_dt.datetime(v.year, v.month, v.day))
+    if isinstance(v, float):
+        if math.isnan(v):
+            return "CAST('NaN' AS DOUBLE)"
+        if math.isinf(v):
+            return f"CAST('{'' if v > 0 else '-'}Infinity' AS DOUBLE)"
+        return repr(v) + ("D" if dialect == "spark" else "")
     return repr(v)
 
 
@@ -59,10 +100,7 @@ def _sql_literal(v: Any) -> str:
 class Expr:
     """Base class for scalar expressions."""
 
-    def to_sql(self) -> str:
-        raise NotImplementedError
-
-    def to_spark(self):
+    def to_sql(self, dialect: str = "duckdb") -> str:
         raise NotImplementedError
 
     def eval_pandas(self, df: pd.DataFrame):
@@ -126,13 +164,8 @@ class Col(Expr):
 
     name: str
 
-    def to_sql(self) -> str:
-        return self.name
-
-    def to_spark(self):
-        from pyspark.sql import functions as F
-
-        return F.col(self.name)
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return ident(self.name, dialect)
 
     def eval_pandas(self, df: pd.DataFrame):
         return df[self.name]
@@ -150,13 +183,8 @@ class Lit(Expr):
 
     value: Any
 
-    def to_sql(self) -> str:
-        return _sql_literal(self.value)
-
-    def to_spark(self):
-        from pyspark.sql import functions as F
-
-        return F.lit(self.value)
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return sql_literal(self.value, dialect)
 
     def eval_pandas(self, df: pd.DataFrame):
         return pd.Series([self.value] * len(df), index=df.index)
@@ -175,10 +203,7 @@ class Param(Expr):
 
     name: str
 
-    def to_sql(self) -> str:
-        raise ValueError(f"unbound parameter ${self.name}")
-
-    def to_spark(self):
+    def to_sql(self, dialect: str = "duckdb") -> str:
         raise ValueError(f"unbound parameter ${self.name}")
 
     def eval_pandas(self, df: pd.DataFrame):
@@ -211,11 +236,8 @@ class BinOp(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
-
-    def to_spark(self):
-        return _ARITH_OPS[self.op](self.left.to_spark(), self.right.to_spark())
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return f"({self.left.to_sql(dialect)} {self.op} {self.right.to_sql(dialect)})"
 
     def eval_pandas(self, df):
         return _ARITH_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
@@ -242,11 +264,11 @@ class Cmp(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
-
-    def to_spark(self):
-        return _CMP_OPS[self.op](self.left.to_spark(), self.right.to_spark())
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        op = self.op
+        if op == "<=>" and dialect == "duckdb":
+            op = "IS NOT DISTINCT FROM"
+        return f"({self.left.to_sql(dialect)} {op} {self.right.to_sql(dialect)})"
 
     def eval_pandas(self, df):
         return _CMP_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
@@ -256,6 +278,28 @@ class Cmp(Expr):
 
     def bind(self, bindings):
         return Cmp(self.op, self.left.bind(bindings), self.right.bind(bindings))
+
+
+@dataclass(frozen=True)
+class IsNull(Expr):
+    """``term IS NULL``; pandas reads NaN as NULL too."""
+
+    term: Expr
+
+    def children(self):
+        return (self.term,)
+
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return f"({self.term.to_sql(dialect)} IS NULL)"
+
+    def eval_pandas(self, df):
+        return self.term.eval_pandas(df).isna()
+
+    def columns(self):
+        return self.term.columns()
+
+    def bind(self, bindings):
+        return IsNull(self.term.bind(bindings))
 
 
 @dataclass(frozen=True)
@@ -274,14 +318,8 @@ class And(Expr):
     def children(self):
         return self.terms
 
-    def to_sql(self) -> str:
-        return "(" + " AND ".join(t.to_sql() for t in self.terms) + ")"
-
-    def to_spark(self):
-        c = self.terms[0].to_spark()
-        for t in self.terms[1:]:
-            c = c & t.to_spark()
-        return c
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return "(" + " AND ".join(t.to_sql(dialect) for t in self.terms) + ")"
 
     def eval_pandas(self, df):
         s = self.terms[0].eval_pandas(df)
@@ -312,14 +350,8 @@ class Or(Expr):
     def children(self):
         return self.terms
 
-    def to_sql(self) -> str:
-        return "(" + " OR ".join(t.to_sql() for t in self.terms) + ")"
-
-    def to_spark(self):
-        c = self.terms[0].to_spark()
-        for t in self.terms[1:]:
-            c = c | t.to_spark()
-        return c
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return "(" + " OR ".join(t.to_sql(dialect) for t in self.terms) + ")"
 
     def eval_pandas(self, df):
         s = self.terms[0].eval_pandas(df)
@@ -341,11 +373,8 @@ class Not(Expr):
     def children(self):
         return (self.term,)
 
-    def to_sql(self) -> str:
-        return f"(NOT {self.term.to_sql()})"
-
-    def to_spark(self):
-        return ~self.term.to_spark()
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return f"(NOT {self.term.to_sql(dialect)})"
 
     def eval_pandas(self, df):
         return ~self.term.eval_pandas(df)
@@ -355,80 +384,6 @@ class Not(Expr):
 
     def bind(self, bindings):
         return Not(self.term.bind(bindings))
-
-
-@dataclass(frozen=True)
-class FragmentId(Expr):
-    """Maps an attribute value to its fragment index in a range
-    partition — the per-tuple INIT step of Sec. 7.1, kept for the
-    Fig. 12a micro-benchmark (capture itself maps keys on the driver).
-
-    ``method`` selects the paper's two implementations: ``"case"``
-    (linear CASE chain) or ``"bsearch"`` (binary search over range
-    boundaries, the Sec. 7.3 optimization). Both compile to the same
-    SQL for the oracle.
-    """
-
-    attr: Expr
-    boundaries: tuple  # upper bounds of fragments 0..n-2 ("right-open" cuts)
-    method: str = "bsearch"
-
-    def children(self):
-        return (self.attr,)
-
-    def n_fragments(self) -> int:
-        return len(self.boundaries) + 1
-
-    def to_sql(self) -> str:
-        a = self.attr.to_sql()
-        cases = " ".join(
-            f"WHEN {a} <= {_sql_literal(b)} THEN {i}"
-            for i, b in enumerate(self.boundaries)
-        )
-        return f"(CASE {cases} ELSE {len(self.boundaries)} END)"
-
-    def to_spark(self):
-        from pyspark.sql import functions as F
-
-        a = self.attr.to_spark()
-        if self.method == "case":
-            expr = None
-            for i, b in enumerate(self.boundaries):
-                cond = a <= F.lit(b)
-                expr = F.when(cond, i) if expr is None else expr.when(cond, i)
-            if expr is None:
-                return F.lit(0)
-            return expr.otherwise(len(self.boundaries)).cast("int")
-        # binary search: numpy searchsorted inside a vectorized pandas UDF
-        import numpy as np
-        from pyspark.sql.functions import pandas_udf
-
-        bnds = np.asarray(self.boundaries)
-
-        @pandas_udf("int")
-        def _frag(s: pd.Series) -> pd.Series:
-            return pd.Series(
-                np.searchsorted(bnds, s.to_numpy(), side="left").astype("int32"),
-                index=s.index,
-            )
-
-        return _frag(a)
-
-    def eval_pandas(self, df):
-        import numpy as np
-
-        vals = self.attr.eval_pandas(df)
-        bnds = np.asarray(self.boundaries)
-        return pd.Series(
-            np.searchsorted(bnds, vals.to_numpy(), side="left").astype("int64"),
-            index=vals.index,
-        )
-
-    def columns(self):
-        return self.attr.columns()
-
-    def bind(self, bindings):
-        return self
 
 
 def col(name: str) -> Col:

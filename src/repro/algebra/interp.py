@@ -16,8 +16,9 @@ and simple — it exists as ground truth:
 
 ``minmax_witness`` mirrors capture rule r3's min/max branch: the
 lineage of a min/max aggregate is only the tuples attaining the
-extremum (all ties — the rule joins back on ``f(a) = a``), which is a
-sufficient subset of the full-group lineage.
+extremum (all ties — the rule joins back on ``f(a) <=> a``, so a group
+whose values are all NULL keeps all its tuples), which is a sufficient
+subset of the full-group lineage.
 """
 from __future__ import annotations
 
@@ -151,7 +152,10 @@ def _eval_aggregate(q: Aggregate, db, minmax_witness: bool) -> pd.DataFrame:
             ext = grp[witness.attr].min() if witness.func == "min" else grp[
                 witness.attr
             ].max()
-            contributors = grp[grp[witness.attr] == ext]
+            # null-safe, like r3's join: an all-NULL group's witnesses
+            # are all its tuples
+            vals = grp[witness.attr]
+            contributors = grp[(vals == ext) | (vals.isna() & pd.isna(ext))]
         else:
             contributors = grp
         rec[PROV] = (

@@ -17,12 +17,14 @@ once, on the driver.
 * r3       — aggregation (and duplicate removal) merges annotations. A
   ``key`` equal to a group-by column is the same on every tuple of a
   group, so it passes through the γ as that column: no BITOR below it.
-  Every other annotation is merged with the ``sketch`` aggregate
-  (``collect_set`` of keys, or flatten + distinct of key arrays) into a
-  ``keys`` annotation, a sorted distinct array. A solitary min/max
-  aggregate whose annotations are not all kept joins the aggregation
-  result back on ``f(a) = a AND G = G`` so that only the witness tuples
-  contribute, then regroups to one row per group.
+  Every other annotation is merged with the ``sketch`` aggregate into
+  a ``keys`` annotation, a sorted distinct array: a scalar key is
+  wrapped into a singleton array first (``ToArray``), so the merge is
+  always a flatten + distinct of arrays, and a NULL key survives it. A
+  solitary min/max aggregate whose annotations are not all kept joins
+  the aggregation result back on ``f(a) <=> a AND G <=> G`` (null-safe)
+  so that only the witness tuples contribute, then regroups to one row
+  per group.
 * r4/r6    — join/cross/union instrument both inputs; a union turns a
   ``key`` into a singleton array and gives a branch that does not read
   the relation an empty one.
@@ -72,20 +74,17 @@ def ann_col(relation: str) -> str:
 
 @dataclass(frozen=True)
 class ToArray(Expr):
-    """Wrap a scalar key into a singleton array (kind key -> keys)."""
+    """Wrap a scalar key into a singleton array (kind key -> keys). A
+    NULL key becomes ``[NULL]``, which the ``sketch`` merge keeps."""
 
     term: Expr
 
     def children(self):
         return (self.term,)
 
-    def to_sql(self) -> str:
-        return f"[{self.term.to_sql()}]"
-
-    def to_spark(self):
-        from pyspark.sql import functions as F
-
-        return F.array(self.term.to_spark())
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        t = self.term.to_sql(dialect)
+        return f"array({t})" if dialect == "spark" else f"[{t}]"
 
     def eval_pandas(self, df):
         return self.term.eval_pandas(df).map(lambda v: [v])
@@ -104,13 +103,8 @@ class EmptyArray(Expr):
     ``array<null>``, which the union widens to the other branch's key
     type."""
 
-    def to_sql(self) -> str:
-        return "[]"
-
-    def to_spark(self):
-        from pyspark.sql import functions as F
-
-        return F.array()
+    def to_sql(self, dialect: str = "duckdb") -> str:
+        return "array()" if dialect == "spark" else "[]"
 
     def eval_pandas(self, df):
         return pd.Series([[] for _ in range(len(df))], index=df.index)
@@ -193,8 +187,19 @@ def _group(p: _Propped, group_by: tuple[str, ...], aggs) -> _Propped:
     all_aggs = tuple(aggs) + tuple(
         AggSpec("sketch", ann_col(r), ann_col(r)) for r in merged
     )
+    # the sketch aggregate merges arrays: wrap the scalar keys first
+    wrap = {ann_col(r) for r in merged if p.anns[r] is not None}
+    child = p.op
+    if wrap:
+        child = Project(
+            child,
+            tuple(
+                (ToArray(Col(c)) if c in wrap else Col(c), c)
+                for c in child.schema()
+            ),
+        )
     op: Op = (
-        Aggregate(p.op, group_by, all_aggs)
+        Aggregate(child, group_by, all_aggs)
         if all_aggs
         # Spark rejects an aggregate without functions
         else Distinct(Project(p.op, tuple((Col(g), g) for g in group_by)))
@@ -262,7 +267,7 @@ def _prop_aggregate(
         return _Propped(q, {})
     all_kept = len(_kept(p.anns, q.group_by)) == len(p.anns)
     if len(q.aggs) == 1 and q.aggs[0].func in ("min", "max") and not all_kept:
-        # r3 witness branch: gamma(Q) |><| PROP(Q) on f(a)=a AND G=G
+        # r3 witness branch: gamma(Q) |><| PROP(Q) on f(a)<=>a AND G<=>G
         # keeps only the tuples attaining the extremum; regrouping
         # merges a group's witnesses (ties) back into one row. A group
         # whose annotations are all kept needs no witness: every tuple
@@ -273,9 +278,12 @@ def _prop_aggregate(
             Aggregate(q.child, q.group_by, (spec,)),
             tuple((Col(g), f"{g}__w") for g in q.group_by) + ((Col(spec.alias), w),),
         )
+        # null-safe: a group whose extremum is NULL (all its values are
+        # NULL) keeps its tuples as witnesses, and a NULL group key
+        # matches its own group
         cond = And(
-            Col(spec.attr).eq(Col(w)),
-            *(Col(g).eq(Col(f"{g}__w")) for g in q.group_by),
+            Cmp("<=>", Col(spec.attr), Col(w)),
+            *(Cmp("<=>", Col(g), Col(f"{g}__w")) for g in q.group_by),
         )
         joined = _Propped(Join(p.op, renamed, cond), p.anns)
         return _group(joined, q.group_by, (AggSpec(spec.func, w, spec.alias),))
@@ -316,11 +324,7 @@ def instrument(q: Op, partitions: Mapping[str, RangePartition]) -> Op:
     p = _prop(q, partitions)
     if not p.anns:
         raise ValueError("no relation of the query is partitioned")
-    return Aggregate(
-        p.op,
-        (),
-        tuple(AggSpec("sketch", ann_col(r), ann_col(r)) for r in sorted(p.anns)),
-    )
+    return _group(p, (), ()).op
 
 
 def capture_sketch(

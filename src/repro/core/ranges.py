@@ -37,7 +37,9 @@ class RangePartition:
 
     def fragment_of_series(self, s: pd.Series) -> pd.Series:
         """Fragment index per value. A missing value (NULL, NaN) falls
-        in the last fragment, where binary search puts a NaN."""
+        in the last fragment, where binary search puts a NaN; the
+        ``Q[P]`` predicate of that fragment admits NULL
+        (``use.sketch_predicate``)."""
         ids = np.full(len(s), self.n_fragments - 1, dtype="int64")
         known = s.notna().to_numpy()
         ids[known] = np.searchsorted(

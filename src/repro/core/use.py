@@ -21,18 +21,21 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.algebra.expr import And, Col, Expr, Lit, Or
+from repro.algebra.expr import And, Col, Expr, IsNull, Lit, Or
 from repro.algebra.ops import Op, Select, TableAccess, replace_tables
 from repro.core.sketch import ProvenanceSketch
 
-# Disjunct budget of one sketch predicate. Each disjunct costs ~6 ms to
-# build as a Spark Column (py4j round trips; an Or of 64 ranges takes
-# 0.4 s on a 4-core host). The budget was chosen when a disjunct cost
-# ~15-20 ms, more than the extra precision saved at these scales: on the
-# tpch-disk benchmark (TPC-H-lite SF 0.01, PS400, 4 cores), the Q[P]
-# median at budgets 4/8/16/32/64 was 0.24/0.28/0.40/0.64/0.78 s for Q19
-# and 0.32/0.32/0.45/0.47/0.46 s for Q10, and budget 32 made the
-# workload's tail latency ~12 % worse. Sweep again before changing it.
+# Disjunct budget of one sketch predicate. It was chosen when each
+# disjunct cost ~15-20 ms to build as a Spark Column over py4j, more than
+# the extra precision saved at these scales: on the tpch-disk benchmark
+# (TPC-H-lite SF 0.01, PS400, 4 cores), the Q[P] median at budgets
+# 4/8/16/32/64 was 0.24/0.28/0.40/0.64/0.78 s for Q19 and
+# 0.32/0.32/0.45/0.47/0.46 s for Q10, and budget 32 made the workload's
+# tail latency ~12 % worse. The predicate is now text in the query's one
+# SQL string: on a 4-core host an Or of 4/16/64 ranges compiles in
+# 0.02/0.03/0.05 s, but a filter-and-count of a cached 100 k-row table
+# by it still takes 0.17/0.17/0.67 s end to end. Sweep again before
+# changing it.
 MAX_DISJUNCTS = 4
 
 
@@ -72,20 +75,28 @@ def coarsen_ranges(ranges, budget: int) -> list:
 
 
 def sketch_predicate(sketch: ProvenanceSketch) -> Optional[Expr]:
-    """The filter predicate for a sketch: an ``Or`` of at most
-    ``MAX_DISJUNCTS`` range conditions, ``FALSE`` for an empty sketch,
+    """The filter predicate for a sketch: an ``Or`` of its merged
+    range conditions, plus ``a IS NULL`` when the last fragment is in
+    the sketch, coarsened to ``MAX_DISJUNCTS`` disjuncts when there are
+    more ranges than that; ``FALSE`` for an empty sketch,
     or None if the ranges cover the whole domain (no restriction —
     using it would only add per-tuple evaluation cost, paper Sec. 9.3
     MonetDB discussion)."""
     if not sketch.fragments:
         # empty sketch: provenance is empty; nothing qualifies
         return Lit(False)
-    ranges = coarsen_ranges(
-        sketch.partition.merged_ranges(sketch.fragments), MAX_DISJUNCTS
-    )
+    ranges = sketch.partition.merged_ranges(sketch.fragments)
+    # the last fragment also holds the NULLs (fragment_of_series), so it
+    # decodes to (a > lo) OR a IS NULL
+    with_null = ranges[-1][1] is None
+    if len(ranges) > MAX_DISJUNCTS:
+        # a coarsened predicate keeps to the budget, IS NULL included
+        ranges = coarsen_ranges(ranges, MAX_DISJUNCTS - with_null)
     conds = [range_condition(sketch.attr, lo, hi) for lo, hi in ranges]
     if any(c is None for c in conds):
         return None
+    if with_null:
+        conds.append(IsNull(Col(sketch.attr)))
     return conds[0] if len(conds) == 1 else Or(*conds)
 
 

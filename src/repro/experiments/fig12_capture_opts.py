@@ -18,27 +18,50 @@ Fig. 12b (sketch merging): union n singleton sketches into one bitset
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+from pyspark.sql import Column, DataFrame
+from pyspark.sql import functions as F
+from pyspark.sql.functions import pandas_udf
 
-from repro.algebra.compile_spark import compile_op
-from repro.algebra.expr import Col, FragmentId
-from repro.algebra.ops import Aggregate, AggSpec, Project, TableAccess
 from repro.core.sketch import fragments_to_bits, merge_delay, merge_nocopy, n_words
 from repro.experiments.common import Dataset, fmt_table, timed
-from repro.workloads.crimes import SCHEMAS as CRIMES_SCHEMAS
 
 INIT_COLUMNS = ("method", "n_fragments", "seconds")
 MERGE_COLUMNS = ("method", "n_fragments", "n_singletons", "seconds")
 
 
-def init_plan(ds: Dataset, n_frag: int, method: str):
+def fragment_id(c: Column, boundaries, method: str) -> Column:
+    """The fragment index of each value of ``c`` under right-closed
+    cuts ``boundaries`` (the per-tuple INIT step of Sec. 7.1), by the
+    paper's two implementations: ``"case"``, a linear CASE chain, or
+    ``"bsearch"``, a binary search over the cuts (Sec. 7.3), here numpy
+    ``searchsorted`` in a vectorized pandas UDF. Both agree with
+    ``RangePartition.fragment_of_series`` on non-NULL values."""
+    if method == "case":
+        if not boundaries:
+            return F.lit(0)
+        expr = F.when(c <= F.lit(boundaries[0]), 0)
+        for i, b in enumerate(boundaries[1:], 1):
+            expr = expr.when(c <= F.lit(b), i)
+        return expr.otherwise(len(boundaries)).cast("int")
+    bnds = np.asarray(boundaries)
+
+    @pandas_udf("int")
+    def _frag(s: pd.Series) -> pd.Series:
+        return pd.Series(
+            np.searchsorted(bnds, s.to_numpy(), side="left").astype("int32"),
+            index=s.index,
+        )
+
+    return _frag(c)
+
+
+def init_plan(ds: Dataset, crimes: DataFrame, n_frag: int, method: str) -> DataFrame:
     """Fragment-id assignment over the crimes table, forced to execute
     by a global max aggregate (Sec. 7.1 INIT)."""
     part = ds.partition("crimes", "cr_id", n_frag)
-    scan = TableAccess("crimes", CRIMES_SCHEMAS["crimes"])
-    proj = Project(
-        scan, ((FragmentId(Col("cr_id"), part.boundaries, method), "frag"),)
-    )
-    return Aggregate(proj, (), (AggSpec("max", "frag", "mx"),))
+    frag = fragment_id(F.col("cr_id"), part.boundaries, method)
+    return crimes.select(frag.alias("frag")).agg(F.max("frag").alias("mx"))
 
 
 def run_init(spark, ds: Dataset, *, n_frags=(32, 1000, 10000), case_cap=1000, reps=3) -> list[dict]:
@@ -47,8 +70,8 @@ def run_init(spark, ds: Dataset, *, n_frags=(32, 1000, 10000), case_cap=1000, re
         for n in n_frags:
             if method == "case" and n > case_cap:
                 continue
-            plan = init_plan(ds, n, method)
-            secs = timed(lambda: compile_op(plan, ds.mem).collect(), reps=reps)
+            plan = init_plan(ds, ds.mem["crimes"], n, method)
+            secs = timed(plan.collect, reps=reps)
             rows.append({"method": method, "n_fragments": n, "seconds": secs})
     return rows
 

@@ -24,6 +24,7 @@ from repro.algebra.ops import (
 )
 from repro.core.capture import ann_col, capture_sketch, instrument
 from repro.core.ranges import RangePartition, equi_depth
+from repro.core.use import apply_sketches
 from repro.physical.storage import scan_report
 from repro.workloads import crimes as WC
 from repro.workloads import tpch as WT
@@ -190,6 +191,39 @@ def test_null_key_in_provenance(spark, q):
     assert_capture_accurate(
         q, {"n": sdf}, {"n": RangePartition("n", "a", (3, 6))}, {"n": NULLS}
     )
+
+
+# a group (NY) whose max is NULL: its witness is matched null-safely
+WITNESS = pd.DataFrame(
+    {
+        "city": list("abcde"),
+        "state": ["CA", "CA", "NY", "TX", "TX"],
+        "popden": [5000.0, None, None, 6000.0, 3000.0],
+    }
+)
+WSCAN = TableAccess("w", ("city", "state", "popden"))
+W_POPDEN = RangePartition("w", "popden", (4000, 5500))
+WITNESS_Q = Select(
+    Aggregate(
+        Aggregate(WSCAN, ("state",), (AggSpec("max", "popden", "mx"),)),
+        (),
+        (AggSpec("count", None, "n"),),
+    ),
+    Col("n").gt(Lit(2)),
+)
+
+
+def test_minmax_witness_all_null_group(spark):
+    sdf = spark.createDataFrame(
+        [(c, s, None if pd.isna(p) else p) for c, s, p in WITNESS.itertuples(index=False)],
+        "city string, state string, popden double",
+    )
+    sdb, parts = {"w": sdf}, {"w": W_POPDEN}
+    assert_capture_accurate(WITNESS_Q, sdb, parts, {"w": WITNESS})
+    sk = capture_sketch(WITNESS_Q, sdb, parts)
+    assert sk["w"].fragments == frozenset({1, 2})
+    rows = compile_op(apply_sketches(WITNESS_Q, sk), sdb).collect()
+    assert [r["n"] for r in rows] == [3]
 
 
 BENCHMARK_CAPTURES = [

@@ -1,10 +1,14 @@
 """IR -> Spark compilation, checked operator-by-operator against the
 DuckDB oracle (repro.oracle.assert_equivalent)."""
+import datetime as dt
+
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.algebra.compile_spark import compile_op
-from repro.algebra.expr import And, Col, Lit, Or
+from repro.algebra.expr import And, Cmp, Col, IsNull, Lit, Or
+from repro.algebra.interp import result_frame
 from repro.algebra.ops import (
     Aggregate,
     AggSpec,
@@ -18,7 +22,7 @@ from repro.algebra.ops import (
     Union,
 )
 from repro.algebra.to_sql import to_sql
-from repro.oracle import assert_equivalent
+from repro.oracle import _canon, assert_equivalent
 
 CITIES = pd.DataFrame(
     {
@@ -115,3 +119,89 @@ class TestOperators:
         j = Join(SCAN, SSCAN, Col("state").eq(Col("st")))
         agg = Aggregate(j, ("region",), (AggSpec("sum", "popden", "tot"),))
         check(TopK(agg, (("tot", False), ("region", True)), 2), db)
+
+
+LITS = pd.DataFrame(
+    {
+        "s": ["it's", "a\\b", "plain", None],
+        "x": [0.05, 1.5, float("inf"), float("-inf")],
+        "ts": pd.to_datetime(
+            ["2020-01-01 00:00:00", "2020-01-01 00:00:00.000001",
+             "2020-01-01 00:00:00.5", "2020-01-02"],
+            format="ISO8601",
+        ),
+        "n": [1, 2, 3, 4],
+    }
+)
+LSCAN = TableAccess("lits", ("s", "x", "ts", "n"))
+
+
+class TestSparkLiterals:
+    """Each rule of the Spark dialect (``expr.sql_literal``), checked
+    as ``compile_op`` against the pandas interpreter."""
+
+    @pytest.fixture(scope="class")
+    def ldb(self, spark):
+        rows = [
+            (s, x, t.to_pydatetime(), n)
+            for s, x, t, n in LITS.itertuples(index=False)
+        ]
+        return {"lits": spark.createDataFrame(rows, "s string, x double, ts timestamp, n long")}
+
+    def check(self, q, ldb):
+        got = compile_op(q, ldb).toPandas()
+        want = result_frame(q, {"lits": LITS})
+        assert len(got) == len(want)
+        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+        return got
+
+    @pytest.mark.parametrize("v", ["it's", "a\\b"])
+    def test_quote_and_backslash(self, ldb, v):
+        # Spark reads a backslash as an escape: 'a\\b' is the text a\b
+        got = self.check(Select(LSCAN, Col("s").eq(Lit(v))), ldb)
+        assert list(got["s"]) == [v]
+        got = self.check(Project(Select(LSCAN, Col("n").eq(Lit(1))), ((Lit(v), "v"),)), ldb)
+        assert list(got["v"]) == [v]
+
+    def test_float_is_double(self, ldb):
+        # an unsuffixed 0.05 would be DECIMAL(2,2)
+        q = Project(Select(LSCAN, Col("x").eq(Lit(0.05))), ((Lit(0.05), "y"), (Col("n"), "n")))
+        assert compile_op(q, ldb).dtypes == [("y", "double"), ("n", "bigint")]
+        assert list(self.check(q, ldb)["n"]) == [1]
+
+    @pytest.mark.parametrize("v", [float("inf"), float("-inf")])
+    def test_infinity(self, ldb, v):
+        assert len(self.check(Select(LSCAN, Col("x").eq(Lit(v))), ldb)) == 1
+
+    def test_nan(self, ldb):
+        got = self.check(Project(LSCAN, ((Lit(float("nan")), "v"),)), ldb)
+        assert got["v"].isna().all()
+
+    def test_timestamp_microseconds(self, ldb):
+        cut = pd.Timestamp("2020-01-01 00:00:00.000001")
+        assert len(self.check(Select(LSCAN, Col("ts").le(Lit(cut))), ldb)) == 2
+        assert len(self.check(Select(LSCAN, Col("ts").le(Lit(cut.to_pydatetime()))), ldb)) == 2
+
+    def test_date(self, ldb):
+        assert len(self.check(Select(LSCAN, Col("ts").lt(Lit(dt.date(2020, 1, 2)))), ldb)) == 3
+
+    @pytest.mark.parametrize(
+        "v,c",
+        [
+            (np.int64(2), "n"),
+            (np.float64(1.5), "x"),
+            (np.datetime64("2020-01-01T00:00:00.500"), "ts"),
+            (np.str_("plain"), "s"),
+        ],
+        ids=["int64", "float64", "datetime64", "str_"],
+    )
+    def test_numpy_scalars(self, ldb, v, c):
+        assert len(self.check(Select(LSCAN, Col(c).eq(Lit(v))), ldb)) == 1
+
+    def test_null(self, ldb):
+        got = self.check(Project(LSCAN, ((Lit(None), "v"), (Col("n"), "n"))), ldb)
+        assert got["v"].isna().all()
+        assert len(self.check(Select(LSCAN, IsNull(Col("s"))), ldb)) == 1
+        # = NULL matches nothing; the null-safe <=> matches the NULL
+        assert len(self.check(Select(LSCAN, Col("s").eq(Lit(None))), ldb)) == 0
+        assert len(self.check(Select(LSCAN, Cmp("<=>", Col("s"), Lit(None))), ldb)) == 1

@@ -3,7 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.ranges import RangePartition
 from repro.experiments.common import fmt_table, timed
+from repro.experiments.fig12_capture_opts import fragment_id
 from repro.experiments.fig13_endtoend import COLUMNS as F13_COLS
 from repro.experiments.fig14_amortization import format_table, run_from_fig11
 from repro.experiments.t9_checks import run as run_t9
@@ -66,3 +68,24 @@ class TestT9:
         # the paper's conclusion: checks are negligible (they measured
         # ~20ms; allow a loose bound here)
         assert all(r["ms_per_check"] < 200 for r in rows)
+
+
+class TestFragmentId:
+    """The Fig. 12a INIT column: both Spark methods agree with the
+    driver-side map ``RangePartition.fragment_of_series``."""
+
+    def test_boundaries(self, spark):
+        # fragments: (-inf,2], (2,3], (3,inf)
+        sdf = spark.createDataFrame(pd.DataFrame({"a": [1, 2, 3, 4]}))
+        for method in ("case", "bsearch"):
+            f = fragment_id(sdf["a"], (2, 3), method)
+            assert [r[0] for r in sdf.select(f).collect()] == [0, 0, 1, 2], method
+
+    def test_case_and_bsearch_agree(self, spark):
+        # the two Spark INIT methods of the Fig. 12a table
+        df = pd.DataFrame({"a": [0, 2, 3, 5, 7, 8, 11]})
+        sdf = spark.createDataFrame(df)
+        exp = list(RangePartition("r", "a", (2, 5, 8)).fragment_of_series(df["a"]))
+        for method in ("case", "bsearch"):
+            f = fragment_id(sdf["a"], (2, 5, 8), method)
+            assert [r[0] for r in sdf.select(f).collect()] == exp, method

@@ -9,7 +9,6 @@ from repro.algebra.expr import (
     BinOp,
     Cmp,
     Col,
-    FragmentId,
     Lit,
     Not,
     Or,
@@ -128,28 +127,7 @@ class TestColumns:
         assert e.columns() == {"a", "s"}
 
 
-class TestFragmentId:
-    def test_eval_pandas_boundaries(self):
-        # fragments: (-inf,2], (2,3], (3,inf)
-        f = FragmentId(Col("a"), (2, 3))
-        assert list(f.eval_pandas(DF)) == [0, 0, 1, 2]
-
-    def test_n_fragments(self):
-        assert FragmentId(Col("a"), (2, 3)).n_fragments() == 3
-
-    def test_sql_case_chain(self):
-        sql = FragmentId(Col("a"), (2,)).to_sql()
-        assert "CASE" in sql and "WHEN a <= 2 THEN 0" in sql and "ELSE 1" in sql
-
-    def test_case_and_bsearch_agree(self, spark):
-        # the two Spark INIT methods of the Fig. 12a table
-        df = pd.DataFrame({"a": [0, 2, 3, 5, 7, 8, 11]})
-        sdf = spark.createDataFrame(df)
-        exp = list(FragmentId(Col("a"), (2, 5, 8)).eval_pandas(df))
-        for method in ("case", "bsearch"):
-            f = FragmentId(Col("a"), (2, 5, 8), method)
-            assert [r[0] for r in sdf.select(f.to_spark()).collect()] == exp, method
-
+class TestValidation:
     def test_invalid_cmp_op(self):
         with pytest.raises(ValueError):
             Cmp("!", Col("a"), Lit(1))

@@ -4,15 +4,21 @@ physical claim — injected sketch filters are pushed into Parquet scans
 serve from physical design"), and the scan then skips the row groups
 the sketch excludes when the table is clustered on the sketch
 attribute (measured from the executed plan, not simulated)."""
+import gc
+
 import numpy as np
 import pandas as pd
 import pytest
+
+from repro.algebra import compile_spark, interp
 
 from repro.algebra.compile_spark import compile_op
 from repro.algebra.expr import And, Col, Lit, Or
 from repro.algebra.ops import Aggregate, AggSpec, Select, TableAccess, TopK
 from repro.algebra.to_sql import to_sql
+from repro.core.capture import capture_sketch
 from repro.core.ranges import RangePartition, equi_depth
+from repro.core.safety import choose_safe_attributes
 from repro.core.sketch import ProvenanceSketch
 from repro.core.use import (
     MAX_DISJUNCTS,
@@ -104,6 +110,81 @@ class TestRewrite:
         # fragment 1 = popden in (3000, 5000]: drops Anchorage, Sacramento, Austin
         assert set(out["state"]) == {"CA", "NY", "TX"}
         assert out.set_index("state")["n"].to_dict() == {"CA": 1, "NY": 2, "TX": 1}
+
+
+class TestNullKeys:
+    """The last fragment also holds the NULLs (``fragment_of_series``),
+    so a sketch holding it must let NULL rows through."""
+
+    SCAN = TableAccess("t", ("a", "v"))
+    TOP1 = TopK(SCAN, (("v", False),), 1)
+    CUTS = RangePartition("t", "a", (3, 6))
+
+    def _qp_equals_q(self, sdf, pdf):
+        db = {"t": sdf}
+        sk = capture_sketch(self.TOP1, db, {"t": self.CUTS})
+        assert sk["t"].fragments == frozenset({2})
+        got = compile_op(apply_sketches(self.TOP1, sk), db).toPandas()
+        want = compile_op(self.TOP1, db).toPandas()
+        pd.testing.assert_frame_equal(got, want)
+        pd.testing.assert_frame_equal(
+            got, interp.result_frame(self.TOP1, {"t": pdf}), check_dtype=False
+        )
+        return got
+
+    def test_null_key_qp_equals_q(self, spark):
+        rows = [(1, 1), (None, 99), (5, 3), (8, 80)]
+        assert choose_safe_attributes(self.TOP1, {"t": ["a"]}) == {"t": "a"}
+        got = self._qp_equals_q(
+            spark.createDataFrame(rows, "a int, v long"),
+            pd.DataFrame(rows, columns=["a", "v"]),
+        )
+        assert got["a"].isna().all() and list(got["v"]) == [99]
+
+    def test_nan_key_qp_equals_q(self, spark):
+        # Spark sorts NaN above every cut, so (a > 6) already keeps it
+        rows = [(1.0, 1), (float("nan"), 99), (5.0, 3), (8.0, 80)]
+        got = self._qp_equals_q(
+            spark.createDataFrame(rows, "a double, v long"),
+            pd.DataFrame(rows, columns=["a", "v"]),
+        )
+        assert np.isnan(got["a"][0]) and list(got["v"]) == [99]
+
+
+class TestViews:
+    def test_same_name_different_mappings(self, spark):
+        # each mapping reads its own DataFrame, whatever was bound before
+        q = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
+        small = {"cities": spark.createDataFrame(CITIES.head(2))}
+        full = {"cities": spark.createDataFrame(CITIES)}
+        assert compile_op(q, small).collect()[0]["n"] == 2
+        assert compile_op(q, full).collect()[0]["n"] == len(CITIES)
+        assert compile_op(q, small).collect()[0]["n"] == 2
+
+    def test_view_dropped_with_dataframe(self, spark):
+        q = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
+        df = spark.createDataFrame(CITIES)
+        counted = compile_op(q, {"cities": df})
+        name = compile_spark._views[df]
+        assert spark.catalog.tableExists(name)
+        del df
+        gc.collect()
+        compile_op(q, {"cities": spark.createDataFrame(CITIES)})
+        assert not spark.catalog.tableExists(name)
+        # a query compiled before still runs: it was analyzed at compile
+        assert counted.collect()[0]["n"] == len(CITIES)
+
+    def test_cached_table_served_from_memory(self, spark):
+        cached = spark.createDataFrame(CITIES)
+        cached.cache().count()
+        try:
+            for _ in range(2):  # registering the view must not uncache it
+                df = compile_op(Select(SCAN, Col("popden").gt(Lit(3000))), {"cities": cached})
+                assert len(df.collect()) == 5
+                assert scan_report(df).rows > 0
+            assert cached.is_cached
+        finally:
+            cached.unpersist()
 
 
 class TestParquetPushdown:
