@@ -4,7 +4,12 @@ Expected shape: naive >> delay > nocopy."""
 import numpy as np
 import pytest
 
-from repro.core.sketch import bits_to_fragments, merge_delay, merge_naive, merge_nocopy
+from repro.experiments.fig12_capture_opts import (
+    bits_to_fragments,
+    merge_delay,
+    merge_naive,
+    merge_nocopy,
+)
 
 N_SINGLETONS = 200_000
 N_NAIVE = 20_000  # naive is O(n * words) python work; scaled subset

@@ -398,3 +398,21 @@ def between(attr: Expr, lo, hi) -> And:
     """Closed-interval membership ``lo <= attr <= hi`` — the shape of
     the conditions a range-based sketch decodes to (Sec. 8, Eq. 2)."""
     return And(attr.ge(_wrap(lo)), attr.le(_wrap(hi)))
+
+
+def split_conjuncts(cond: Expr) -> tuple[list[tuple[str, str]], list[Expr]]:
+    """The conjuncts of ``cond``: the column-name pairs of those that
+    are ``Col = Col``, and every other one."""
+    rest: list[Expr] = []
+    pairs: list[tuple[str, str]] = []
+    for c in cond.terms if isinstance(cond, And) else (cond,):
+        if (
+            isinstance(c, Cmp)
+            and c.op == "="
+            and isinstance(c.left, Col)
+            and isinstance(c.right, Col)
+        ):
+            pairs.append((c.left.name, c.right.name))
+        else:
+            rest.append(c)
+    return pairs, rest

@@ -27,7 +27,6 @@ from typing import Mapping
 import numpy as np
 import pandas as pd
 
-from repro.algebra.expr import And, Cmp, Col
 from repro.algebra.ops import (
     Aggregate,
     CrossProduct,
@@ -109,11 +108,17 @@ def evaluate(
         return pd.DataFrame(rows, columns=cols + [PROV])
     if isinstance(q, TopK):
         df = evaluate(q.child, db, minmax_witness=minmax_witness)
-        by = [c for c, _ in q.order]
-        asc = [a for _, a in q.order]
+        # Spark's NULL order per key: first when ascending, last when
+        # descending; a not-null flag sorted in the key's direction
+        # puts it there
+        flags = {f"__nn{i}__": df[c].notna() for i, (c, _) in enumerate(q.order)}
+        by = [x for f, (c, _) in zip(flags, q.order) for x in (f, c)]
+        asc = [a for _, a in q.order for _ in (0, 1)]
         return (
-            df.sort_values(by, ascending=asc, kind="stable")
+            df.assign(**flags)
+            .sort_values(by, ascending=asc, kind="stable")
             .head(q.k)
+            .drop(columns=list(flags))
             .reset_index(drop=True)
         )
     raise TypeError(f"cannot evaluate {type(q).__name__}")
@@ -183,37 +188,18 @@ def _eval_aggregate(q: Aggregate, db, minmax_witness: bool) -> pd.DataFrame:
 def _eval_join(q: Join, db, minmax_witness: bool) -> pd.DataFrame:
     l = evaluate(q.left, db, minmax_witness=minmax_witness)
     r = evaluate(q.right, db, minmax_witness=minmax_witness)
-    pairs = q.equi_pairs()
+    pairs, residual = q.split()
     l = l.rename(columns={PROV: "__provl__"})
     if pairs:
-        out = l.merge(
-            r,
-            left_on=[p[0] for p in pairs],
-            right_on=[p[1] for p in pairs],
-            how="inner",
+        # SQL ``=``: a NULL key matches nothing (pandas would match it
+        # to NULL)
+        lk, rk = [p[0] for p in pairs], [p[1] for p in pairs]
+        out = l.dropna(subset=lk).merge(
+            r.dropna(subset=rk), left_on=lk, right_on=rk, how="inner"
         )
     else:
         out = l.merge(r, how="cross")
-    # apply any residual (non-equi) conjuncts
-    conjuncts = q.cond.terms if isinstance(q.cond, And) else (q.cond,)
-    equi_seen = {
-        (c.left.name, c.right.name)
-        for c in conjuncts
-        if isinstance(c, Cmp)
-        and c.op == "="
-        and isinstance(c.left, Col)
-        and isinstance(c.right, Col)
-    }
-    for c in conjuncts:
-        is_equi = (
-            isinstance(c, Cmp)
-            and c.op == "="
-            and isinstance(c.left, Col)
-            and isinstance(c.right, Col)
-            and (c.left.name, c.right.name) in equi_seen
-        )
-        if is_equi:
-            continue
+    for c in residual:
         if len(out):
             out = out[c.eval_pandas(out).fillna(False).astype(bool)]
     out = out.reset_index(drop=True)

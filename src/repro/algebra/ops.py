@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.algebra.expr import And, Cmp, Col, Expr
+from repro.algebra.expr import Cmp, Col, Expr, split_conjuncts
 
 # "sketch" is the BITOR-style merge of provenance-sketch annotations
 # (paper Fig. 6 r3/r7); see repro.core.capture.
@@ -188,26 +188,21 @@ class Join(Op):
             self.cond.bind(bindings),
         )
 
-    def equi_pairs(self) -> list[tuple[str, str]]:
-        """(left_attr, right_attr) pairs from equality conjuncts."""
-        out: list[tuple[str, str]] = []
+    def split(self) -> tuple[list[tuple[str, str]], list[Expr]]:
+        """The (left_attr, right_attr) pairs of the equality conjuncts
+        that relate the two inputs, and every other conjunct (the
+        residual; a ``Col = Col`` within one input is one of them)."""
+        pairs, rest = split_conjuncts(self.cond)
         ls, rs = set(self.left.schema()), set(self.right.schema())
-        conjuncts = (
-            self.cond.terms if isinstance(self.cond, And) else (self.cond,)
-        )
-        for c in conjuncts:
-            if (
-                isinstance(c, Cmp)
-                and c.op == "="
-                and isinstance(c.left, Col)
-                and isinstance(c.right, Col)
-            ):
-                a, b = c.left.name, c.right.name
-                if a in ls and b in rs:
-                    out.append((a, b))
-                elif b in ls and a in rs:
-                    out.append((b, a))
-        return out
+        equi: list[tuple[str, str]] = []
+        for a, b in pairs:
+            if a in ls and b in rs:
+                equi.append((a, b))
+            elif b in ls and a in rs:
+                equi.append((b, a))
+            else:
+                rest.append(Cmp("=", Col(a), Col(b)))
+        return equi, rest
 
 
 @dataclass(frozen=True)

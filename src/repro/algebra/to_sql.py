@@ -7,6 +7,9 @@ each relation read from the temp view named in ``views``. The
 translation is a straightforward nesting of derived tables; the
 engine's optimizer (DuckDB's or Catalyst) flattens it.
 
+A top-k orders NULLs as Spark does by default, first when ascending
+and last when descending, spelled out so that DuckDB agrees.
+
 The dialects differ in literals and quoting (``expr.sql_literal``,
 ``expr.ident``), null-safe equality, and the array constructs of the
 capture plan: the ``sketch`` aggregate, which merges key arrays into
@@ -109,7 +112,8 @@ def to_sql(
             return f"SELECT DISTINCT * FROM ({render(op.child)}) {alias()}"
         if isinstance(op, TopK):
             order = ", ".join(
-                f"{ident(c, dialect)} {'ASC' if asc else 'DESC'}"
+                f"{ident(c, dialect)} "
+                + ("ASC NULLS FIRST" if asc else "DESC NULLS LAST")
                 for c, asc in op.order
             )
             return (

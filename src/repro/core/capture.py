@@ -50,7 +50,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.algebra.compile_spark import compile_op
-from repro.algebra.expr import And, Cmp, Col, Expr
+from repro.algebra.expr import And, Cmp, Col, Expr, split_conjuncts
 from repro.algebra.ops import (
     Aggregate,
     AggSpec,
@@ -132,15 +132,7 @@ class _Propped:
 
 def _grow(anns, cond: Expr):
     """Add the ``Col = Col`` conjuncts of ``cond`` to the key equalities."""
-    conjuncts = cond.terms if isinstance(cond, And) else (cond,)
-    pairs = [
-        (c.left.name, c.right.name)
-        for c in conjuncts
-        if isinstance(c, Cmp)
-        and c.op == "="
-        and isinstance(c.left, Col)
-        and isinstance(c.right, Col)
-    ]
+    pairs, _ = split_conjuncts(cond)
     out = {}
     for rel, eq in anns.items():
         while eq is not None:

@@ -12,7 +12,7 @@ quantiles, so every cut is a value of the column and keeps its type.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -85,12 +85,14 @@ def equi_depth(
 
     Duplicate quantiles (heavy hitters) are collapsed, so the actual
     fragment count can be lower than requested — same behaviour as a
-    DBMS histogram over skewed data.
+    DBMS histogram over skewed data. The cuts come from the non-missing
+    values; a NULL falls in the last fragment (``fragment_of_series``).
     """
     if n_fragments < 1:
         raise ValueError("need at least one fragment")
+    values = values.dropna()
     qs = [i / n_fragments for i in range(1, n_fragments)]
-    if np.issubdtype(values.dtype, np.number):
+    if pd.api.types.is_numeric_dtype(values.dtype):
         cuts = np.quantile(values.to_numpy(), qs, method="lower")
     else:
         sv = values.sort_values().to_numpy()

@@ -16,14 +16,16 @@ Unlike the safety rules, selections are *not* checked locally: their
 conditions may be spread over several operators, so all of pred(Q')
 -> pred(Q) is tested at once by ``uconds`` (the paper's
 sigma_{a=20}(sigma_{a>30}) example). Aggregations compare only the
-non-group-by conjuncts (conditions (1) and (2) in Fig. 4b).
+non-group-by conjuncts (conditions (1) and (2) in Fig. 4b); a top-k
+needs both of its inputs to hold the same tuples, so it compares all of
+pred() in both directions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.algebra.expr import Cmp, Col, Expr, Lit
+from repro.algebra.expr import Col, Expr, Lit
 from repro.algebra.ops import (
     Aggregate,
     CrossProduct,
@@ -37,13 +39,14 @@ from repro.algebra.ops import (
     Union,
 )
 from repro.core.safety import (
-    PRIME,
     Psi,
     Stats,
     _project_relation,
     _union_psi,
+    conds,
     expr_conjuncts,
     pred_conjuncts,
+    preserved,
     prime,
     psi_atoms,
 )
@@ -65,10 +68,18 @@ def non_grp_pred(q: Op, group_by: Sequence[str], stats: Optional[Stats]) -> list
     ]
 
 
-def _pair_hyp(psi: Psi, q_old: Op, q_new: Op, stats) -> list[Expr]:
-    c_old = pred_conjuncts(q_old, stats) + expr_conjuncts(q_old)
-    c_new = pred_conjuncts(q_new, stats) + expr_conjuncts(q_new)
-    return psi_atoms(psi) + c_old + [prime(e) for e in c_new]
+def _implications(
+    psi: Psi, q_old: Op, q_new: Op, p_old: list[Expr], p_new: list[Expr]
+) -> tuple[bool, bool]:
+    """Under Psi and both sides' expr(): (p_old -> p_new', p_new' -> p_old),
+    where ``p_old`` holds over ``q_old`` and ``p_new`` over ``q_new``."""
+    base = (
+        psi_atoms(psi)
+        + expr_conjuncts(q_old)
+        + [prime(e) for e in expr_conjuncts(q_new)]
+    )
+    p_new = [prime(e) for e in p_new]
+    return implies(base + p_old, p_new), implies(base + p_new, p_old)
 
 
 def ge(q_new: Op, q_old: Op, stats: Optional[Stats] = None) -> ReuseResult:
@@ -98,11 +109,7 @@ def ge(q_new: Op, q_old: Op, stats: Optional[Stats] = None) -> ReuseResult:
         r = ge(q_new.child, q_old.child, stats)
         if not r.reusable:
             return r
-        hyp = _pair_hyp(r.psi, q_old.child, q_new.child, stats)
-        ok = all(
-            r.psi.get(a) == "=" or implies(hyp, Cmp("=", Col(a), Col(a + PRIME)))
-            for a in q_old.schema()
-        )
+        ok = preserved(q_old.schema(), r.psi, q_old.child, stats, q_new.child)
         return ReuseResult(ok, r.psi, "" if ok else "distinct attrs not preserved")
     if isinstance(q_old, TopK):
         r = ge(q_new.child, q_old.child, stats)
@@ -110,11 +117,16 @@ def ge(q_new: Op, q_old: Op, stats: Optional[Stats] = None) -> ReuseResult:
             return r
         if q_new.k != q_old.k or q_new.order != q_old.order:
             return ReuseResult(False, r.psi, "top-k spec differs")
-        hyp = _pair_hyp(r.psi, q_old.child, q_new.child, stats)
-        ok = all(
-            r.psi.get(o) == "=" or implies(hyp, Cmp("=", Col(o), Col(o + PRIME)))
-            for o, _ in q_old.order
+        # the sketch covers Q's top k; it answers Q' only when both
+        # top-k inputs hold the same tuples
+        same = _implications(
+            r.psi, q_old.child, q_new.child,
+            pred_conjuncts(q_old.child, stats), pred_conjuncts(q_new.child, stats),
         )
+        if not all(same):
+            return ReuseResult(False, r.psi, "top-k inputs differ")
+        order = [o for o, _ in q_old.order]
+        ok = preserved(order, r.psi, q_old.child, stats, q_new.child)
         return ReuseResult(ok, r.psi, "" if ok else "top-k order not preserved")
     if isinstance(q_old, Aggregate):
         return _ge_aggregate(q_new, q_old, stats)
@@ -132,12 +144,11 @@ def ge(q_new: Op, q_old: Op, stats: Optional[Stats] = None) -> ReuseResult:
         psi = {**rl.psi, **rr.psi}
         if isinstance(q_old, CrossProduct):
             return ReuseResult(True, psi)
-        hyp_l = _pair_hyp(rl.psi, q_old.left, q_new.left, stats)
-        hyp_r = _pair_hyp(rr.psi, q_old.right, q_new.right, stats)
-        for a, b in q_old.equi_pairs():
-            ok_a = rl.psi.get(a) == "=" or implies(hyp_l, Cmp("=", Col(a), Col(a + PRIME)))
-            ok_b = rr.psi.get(b) == "=" or implies(hyp_r, Cmp("=", Col(b), Col(b + PRIME)))
-            if not (ok_a and ok_b):
+        for a, b in q_old.split()[0]:
+            if not (
+                preserved([a], rl.psi, q_old.left, stats, q_new.left)
+                and preserved([b], rr.psi, q_old.right, stats, q_new.right)
+            ):
                 return ReuseResult(False, psi, f"join attrs not preserved: {a}={b}")
         return ReuseResult(True, psi)
     raise TypeError(type(q_old).__name__)
@@ -147,18 +158,16 @@ def _ge_aggregate(q_new: Aggregate, q_old: Aggregate, stats) -> ReuseResult:
     r = ge(q_new.child, q_old.child, stats)
     if not r.reusable:
         return r
-    hyp = _pair_hyp(r.psi, q_old.child, q_new.child, stats)
     for g in q_old.group_by:
-        if r.psi.get(g) != "=" and not implies(hyp, Cmp("=", Col(g), Col(g + PRIME))):
+        if not preserved([g], r.psi, q_old.child, stats, q_new.child):
             return ReuseResult(False, r.psi, f"group-by attr not preserved: {g}")
     # conditions (1) and (2) on the non-group-by predicates
-    ngp_old = non_grp_pred(q_old.child, q_old.group_by, stats)
-    ngp_new = non_grp_pred(q_new.child, q_new.group_by, stats)
-    exprs = expr_conjuncts(q_old.child) + [prime(e) for e in expr_conjuncts(q_new.child)]
-    base = psi_atoms(r.psi) + exprs
-    cond1 = implies(base + ngp_old, [prime(e) for e in ngp_new])
-    cond2 = implies(base + [prime(e) for e in ngp_new], ngp_old)
-    child_conds = pred_conjuncts(q_old.child, stats) + expr_conjuncts(q_old.child)
+    cond1, cond2 = _implications(
+        r.psi, q_old.child, q_new.child,
+        non_grp_pred(q_old.child, q_old.group_by, stats),
+        non_grp_pred(q_new.child, q_new.group_by, stats),
+    )
+    child_conds = conds(q_old.child, stats)
     psi: Psi = dict(r.psi)  # accumulate inner attrs (Example 7)
     for s in q_old.aggs:
         if cond1 and cond2:

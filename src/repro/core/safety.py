@@ -18,7 +18,10 @@ The procedure is sound, not complete (Thm. 1 rules out completeness).
 
 For top-k queries the rules additionally assume the operator input has
 at least C tuples (paper footnote 1); ``SafetyResult.topk_caveat``
-surfaces that runtime re-validation obligation.
+surfaces that runtime re-validation obligation. Only Π, δ and ∪ may
+consume a top-k's output: which ties and neighbours of the top k a
+sketch keeps is not fixed, so a selection, join or aggregation above it
+can see different tuples over D_PS than over D.
 """
 from __future__ import annotations
 
@@ -151,15 +154,46 @@ def _x_attrs(q: Op, X: Mapping[str, Sequence[str]]) -> list[str]:
     return out
 
 
-def _hyp(psi: Psi, q_child: Op, stats: Optional[Stats]) -> list[Expr]:
-    c = conds(q_child, stats)
-    return psi_atoms(psi) + c + [prime(e) for e in c]
+def _hyp(
+    psi: Psi, q: Op, stats: Optional[Stats], q_primed: Optional[Op] = None
+) -> list[Expr]:
+    """Psi, the conditions of ``q``, and those of ``q_primed`` (default
+    ``q``) over primed attributes."""
+    primed = conds(q if q_primed is None else q_primed, stats)
+    return psi_atoms(psi) + conds(q, stats) + [prime(e) for e in primed]
+
+
+def preserved(
+    attrs, psi: Psi, q: Op, stats: Optional[Stats], q_primed: Optional[Op] = None
+) -> bool:
+    """Every attribute in ``attrs`` has ``a = a'``: by Psi, or implied
+    by ``_hyp(psi, q, stats, q_primed)``."""
+    rest = [a for a in attrs if psi.get(a) != "="]
+    if not rest:
+        return True
+    return implies(
+        _hyp(psi, q, stats, q_primed), [Cmp("=", Col(a), Col(a + PRIME)) for a in rest]
+    )
+
+
+def _topk_in(q: Op, X: Mapping[str, Sequence[str]]) -> bool:
+    """Whether ``q`` contains a top-k over a sketched relation."""
+    if isinstance(q, TopK) and _x_attrs(q, X):
+        return True
+    return any(_topk_in(c, X) for c in q.children())
 
 
 def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> SafetyResult:
     """The Fig. 3 inference. ``X`` maps relation -> sketch attributes."""
     if isinstance(q, TableAccess) or not _x_attrs(q, X):
         return SafetyResult(True, {a: "=" for a in q.schema()})
+    # only Π, δ and ∪ may consume a top-k (module docstring)
+    if not isinstance(q, (Project, Distinct, Union)) and any(
+        _topk_in(c, X) for c in q.children()
+    ):
+        return SafetyResult(
+            False, reason=f"{type(q).__name__} over a top-k is not supported"
+        )
     if isinstance(q, Select):
         r1 = gc(q.child, X, stats)
         if not r1.safe:
@@ -187,21 +221,14 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
         r1 = gc(q.child, X, stats)
         if not r1.safe:
             return r1
-        ok = all(r1.psi.get(a) == "=" for a in q.schema()) or implies(
-            _hyp(r1.psi, q.child, stats),
-            [Cmp("=", Col(a), Col(a + PRIME)) for a in q.schema()],
-        )
+        ok = preserved(q.schema(), r1.psi, q.child, stats)
         return SafetyResult(ok, r1.psi, r1.topk_caveat,
                             "" if ok else "duplicate elimination over non-equal attrs")
     if isinstance(q, TopK):
         r1 = gc(q.child, X, stats)
         if not r1.safe:
             return r1
-        hyp = _hyp(r1.psi, q.child, stats)
-        ok = all(
-            r1.psi.get(o) == "=" or implies(hyp, Cmp("=", Col(o), Col(o + PRIME)))
-            for o, _ in q.order
-        )
+        ok = preserved([o for o, _ in q.order], r1.psi, q.child, stats)
         return SafetyResult(ok, r1.psi, True,
                             "" if ok else "top-k order attribute not preserved")
     if isinstance(q, Aggregate):
@@ -224,25 +251,19 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
         caveat = rl.topk_caveat or rr.topk_caveat
         if isinstance(q, CrossProduct):
             return SafetyResult(True, psi, caveat)
-        hyp_l = _hyp(rl.psi, q.left, stats)
-        hyp_r = _hyp(rr.psi, q.right, stats)
-        conjuncts = q.cond.terms if isinstance(q.cond, And) else (q.cond,)
-        lset, rset = set(q.left.schema()), set(q.right.schema())
-        for c in conjuncts:
-            if isinstance(c, Cmp) and c.op == "=" and isinstance(c.left, Col) and isinstance(c.right, Col):
-                a, b = c.left.name, c.right.name
-                if a in rset:
-                    a, b = b, a
-                ok_a = rl.psi.get(a) == "=" or implies(hyp_l, Cmp("=", Col(a), Col(a + PRIME)))
-                ok_b = rr.psi.get(b) == "=" or implies(hyp_r, Cmp("=", Col(b), Col(b + PRIME)))
-                if not (ok_a and ok_b):
-                    return SafetyResult(False, psi, caveat,
-                                        f"join attribute not preserved: {a} = {b}")
-            else:
-                # non-equi conjunct: require the selection-style check
-                if not _selection_ok(c, psi, q, stats):
-                    return SafetyResult(False, psi, caveat,
-                                        f"join condition not preserved: {c.to_sql()}")
+        pairs, residual = q.split()
+        for a, b in pairs:
+            if not (
+                preserved([a], rl.psi, q.left, stats)
+                and preserved([b], rr.psi, q.right, stats)
+            ):
+                return SafetyResult(False, psi, caveat,
+                                    f"join attribute not preserved: {a} = {b}")
+        for c in residual:
+            # the selection-style check
+            if not _selection_ok(c, psi, q, stats):
+                return SafetyResult(False, psi, caveat,
+                                    f"join condition not preserved: {c.to_sql()}")
         return SafetyResult(True, psi, caveat)
     raise TypeError(type(q).__name__)
 
@@ -304,9 +325,8 @@ def _gc_aggregate(q: Aggregate, X, stats) -> SafetyResult:
     r1 = gc(q.child, X, stats)
     if not r1.safe:
         return r1
-    hyp = _hyp(r1.psi, q.child, stats)
     for g in q.group_by:
-        if r1.psi.get(g) != "=" and not implies(hyp, Cmp("=", Col(g), Col(g + PRIME))):
+        if not preserved([g], r1.psi, q.child, stats):
             return SafetyResult(False, r1.psi, r1.topk_caveat,
                                 f"group-by attribute not preserved: {g}")
     child_conds = conds(q.child, stats)

@@ -9,8 +9,9 @@
   - *adaptive*: run without PBDS until a template has accumulated
     ``patience`` misses ("enough evidence the sketch is needed"),
     then capture.
-  Queries whose estimated selectivity exceeds ``sel_threshold`` (75 %
-  in the paper) bypass PBDS entirely.
+  A stored sketch that covers more than ``SEL_THRESHOLD`` of its
+  fragments (75 %, the paper's selectivity gate) is not used; the query
+  counts as a miss.
 * ``amortization_table`` reproduces Fig. 14's cost model: running a
   query n times costs ``n * C_NoPS`` without PBDS and
   ``C_cap + n * C_use`` with a sketch; for each n the cheapest option
@@ -20,8 +21,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from pyspark.sql import DataFrame
 
@@ -33,6 +34,10 @@ from repro.core.reuse import reusable
 from repro.core.safety import Stats
 from repro.core.sketch import ProvenanceSketch
 from repro.core.use import apply_sketches
+
+# the paper's selectivity gate (Sec. 9.5): a sketch covering more of its
+# fragments than this is not used
+SEL_THRESHOLD = 0.75
 
 
 def amortization_table(
@@ -113,8 +118,6 @@ class SelfTuningDriver:
     output of the Sec. 5 safety check for that template (computed once
     per template, as in the paper).
     ``partitions``: (relation, attr) -> RangePartition.
-    ``estimator``: optional (template, instance) -> selectivity in
-    [0, 1]; above ``sel_threshold`` PBDS is bypassed.
     """
 
     def __init__(
@@ -126,8 +129,6 @@ class SelfTuningDriver:
         stats: Optional[Stats] = None,
         strategy: str = "adaptive",
         patience: int = 2,
-        sel_threshold: float = 0.75,
-        estimator: Optional[Callable[[str, Op], float]] = None,
     ):
         if strategy not in ("eager", "adaptive", "nops"):
             raise ValueError(strategy)
@@ -137,8 +138,6 @@ class SelfTuningDriver:
         self.store = SketchStore(stats)
         self.strategy = strategy
         self.patience = patience if strategy == "adaptive" else 0
-        self.sel_threshold = sel_threshold
-        self.estimator = estimator
         self.misses: dict[str, int] = {}
         self.events: list[QueryEvent] = []
 
@@ -154,13 +153,8 @@ class SelfTuningDriver:
             ev = QueryEvent(idx, template, "plain", nops_s, nops_s)
             self.events.append(ev)
             return ev
-        if self.estimator is not None:
-            if self.estimator(template, instance) > self.sel_threshold:
-                ev = QueryEvent(idx, template, "plain", nops_s, nops_s)
-                self.events.append(ev)
-                return ev
         entry = self.store.find(template, instance)
-        if entry is not None and entry.coverage <= self.sel_threshold:
+        if entry is not None and entry.coverage <= SEL_THRESHOLD:
             t0 = time.perf_counter()
             compile_op(apply_sketches(instance, entry.sketches), self.tables).collect()
             ev = QueryEvent(idx, template, "use", time.perf_counter() - t0, nops_s)

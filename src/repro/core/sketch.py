@@ -1,32 +1,18 @@
-"""Provenance sketches (paper Def. 3) and the bitset encoding (Sec. 7).
+"""Provenance sketches (paper Def. 3).
 
 A sketch is the subset of a range partition's fragments that covers the
 query's provenance in one relation. The paper encodes sketches as
-bitvectors (one bit per fragment, "10s or 100s of bytes") and unions
-them with a BITOR aggregate. This module provides:
-
-* ``ProvenanceSketch`` — fragments + partition, bitvector codec,
-  superset/union/selectivity;
-* the three merge strategies benchmarked in Fig. 12b:
-  - ``merge_naive``  : materialize one bitvector per singleton and OR
-                       them pairwise, allocating a fresh vector each
-                       time (the unoptimized Postgres bit_or);
-  - ``merge_delay``  : keep the fragment *id* until the merge point and
-                       set bits once (the paper's *delay* method);
-  - ``merge_nocopy`` : word-at-a-time OR with no intermediate copies
-                       (the paper's *No-copy* method; numpy uint64
-                       words stand in for machine words).
+bitvectors and unions them with a BITOR aggregate; here capture maps
+the raw sketch keys to fragment ids once, on the driver
+(``repro.core.capture``), so a sketch is a plain fragment set. The
+bitset encoding and its merge strategies (Sec. 7.3) live with their
+micro-benchmark in ``repro.experiments.fig12_capture_opts``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.core.ranges import RangePartition
-
-_WORD = 64
 
 
 @dataclass(frozen=True)
@@ -53,91 +39,3 @@ class ProvenanceSketch:
         """Fraction of fragments covered — with equi-depth partitions
         this approximates the fraction of *rows* covered (Fig. 9)."""
         return len(self.fragments) / self.partition.n_fragments
-
-    def is_superset(self, other: "ProvenanceSketch") -> bool:
-        return self.fragments >= other.fragments
-
-    def union(self, other: "ProvenanceSketch") -> "ProvenanceSketch":
-        if self.partition != other.partition:
-            raise ValueError("cannot union sketches over different partitions")
-        return ProvenanceSketch(self.partition, self.fragments | other.fragments)
-
-    # bitset codec ----------------------------------------------------
-    def to_bitvector(self) -> np.ndarray:
-        return fragments_to_bits(self.fragments, self.partition.n_fragments)
-
-    @classmethod
-    def from_bitvector(
-        cls, partition: RangePartition, bits: np.ndarray
-    ) -> "ProvenanceSketch":
-        return cls(partition, bits_to_fragments(bits))
-
-    def size_bytes(self) -> int:
-        """Storage footprint of the bitvector encoding."""
-        return self.to_bitvector().nbytes
-
-
-def n_words(n_fragments: int) -> int:
-    return (n_fragments + _WORD - 1) // _WORD
-
-
-def fragments_to_bits(fragments: Iterable[int], n_fragments: int) -> np.ndarray:
-    bits = np.zeros(n_words(n_fragments), dtype=np.uint64)
-    for f in fragments:
-        bits[f // _WORD] |= np.uint64(1) << np.uint64(f % _WORD)
-    return bits
-
-
-def bits_to_fragments(bits: np.ndarray) -> frozenset[int]:
-    out = []
-    for w, word in enumerate(bits):
-        word = int(word)
-        while word:
-            b = word & -word
-            out.append(w * _WORD + b.bit_length() - 1)
-            word ^= b
-    return frozenset(out)
-
-
-# Fig. 12b merge strategies -------------------------------------------
-
-
-def merge_naive(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
-    """Expand each singleton into a full bitvector, then OR pairwise,
-    allocating a new vector per step (Postgres's unoptimized bit_or)."""
-    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
-    for fid in singleton_ids:
-        single = np.zeros(n_words(n_fragments), dtype=np.uint64)
-        single[fid // _WORD] = np.uint64(1) << np.uint64(fid % _WORD)
-        acc = acc | single  # fresh allocation each iteration
-    return acc
-
-
-def merge_delay(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
-    """Propagate plain ids; set bits once at the merge point into a
-    single accumulator (no intermediate bitvectors), one id at a time —
-    the paper's *delay* method."""
-    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
-    for fid in set(int(i) for i in singleton_ids):
-        acc[fid // _WORD] |= np.uint64(1) << np.uint64(fid % _WORD)
-    return acc
-
-
-def merge_nocopy(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
-    """*delay* plus word-at-a-time vectorized OR with no per-id work
-    and no copies — the paper's *No-copy* method on top of delay."""
-    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
-    ids = np.unique(np.asarray(singleton_ids, dtype=np.int64))
-    # unbuffered OR: several ids land in the same word
-    np.bitwise_or.at(
-        acc, ids // _WORD, np.uint64(1) << (ids % _WORD).astype(np.uint64)
-    )
-    return acc
-
-
-def merge_partials(bitvectors: np.ndarray) -> np.ndarray:
-    """OR a (k, words) matrix of partial bitvectors word-at-a-time —
-    the combine phase of a distributed BITOR aggregation."""
-    acc = np.zeros(bitvectors.shape[1], dtype=np.uint64)
-    np.bitwise_or.reduce(bitvectors, axis=0, out=acc)
-    return acc

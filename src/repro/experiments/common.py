@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
 

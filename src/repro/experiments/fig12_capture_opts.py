@@ -6,16 +6,23 @@ at increasing partition sizes. The paper sees ~2 orders of magnitude
 between them at PS10K; the CASE chain is capped here because a 10K-arm
 ``F.when`` chain also blows up Catalyst plan compilation.
 
-Fig. 12b (sketch merging): union n singleton sketches into one bitset
+Fig. 12b (sketch merging): union n singleton sketches into one
+bitvector (one bit per fragment, numpy uint64 words standing in for
+machine words — the paper's encoding, Sec. 7)
 
-* ``naive``  — materialize a bitvector per singleton, OR pairwise with
-  a fresh allocation each step (unoptimized Postgres ``bit_or``);
-* ``delay``  — propagate plain fragment ids, set all bits at the merge
-  point (paper's *delay*);
-* ``nocopy`` — chunked word-at-a-time OR with no intermediate copies
-  (paper's *No-copy*).
+* ``merge_naive``  — materialize a bitvector per singleton, OR pairwise
+  with a fresh allocation each step (unoptimized Postgres ``bit_or``);
+* ``merge_delay``  — propagate plain fragment ids, set all bits at the
+  merge point (paper's *delay*);
+* ``merge_nocopy`` — word-at-a-time vectorized OR with no intermediate
+  copies (paper's *No-copy*).
+
+The pipeline itself never builds a bitvector: capture maps sketch keys
+to a fragment set on the driver (``repro.core.capture``).
 """
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -23,11 +30,12 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
-from repro.core.sketch import fragments_to_bits, merge_delay, merge_nocopy, n_words
 from repro.experiments.common import Dataset, fmt_table, timed
 
 INIT_COLUMNS = ("method", "n_fragments", "seconds")
 MERGE_COLUMNS = ("method", "n_fragments", "n_singletons", "seconds")
+
+_WORD = 64
 
 
 def fragment_id(c: Column, boundaries, method: str) -> Column:
@@ -76,14 +84,61 @@ def run_init(spark, ds: Dataset, *, n_frags=(32, 1000, 10000), case_cap=1000, re
     return rows
 
 
-def _merge_naive_bytewise(ids, n_frag: int) -> np.ndarray:
-    """Byte-at-a-time OR with a fresh copy per step — the behaviour the
-    paper's No-copy optimization removes."""
-    acc = np.zeros(n_words(n_frag) * 8, dtype=np.uint8)
-    for fid in ids:
-        single = fragments_to_bits({int(fid)}, n_frag).view(np.uint8)
-        acc = acc | single
-    return acc.view(np.uint64)
+def n_words(n_fragments: int) -> int:
+    return (n_fragments + _WORD - 1) // _WORD
+
+
+def fragments_to_bits(fragments: Iterable[int], n_fragments: int) -> np.ndarray:
+    """The bitvector of a fragment set."""
+    bits = np.zeros(n_words(n_fragments), dtype=np.uint64)
+    for f in fragments:
+        bits[f // _WORD] |= np.uint64(1) << np.uint64(f % _WORD)
+    return bits
+
+
+def bits_to_fragments(bits: np.ndarray) -> frozenset[int]:
+    """The fragment set of a bitvector."""
+    out = []
+    for w, word in enumerate(bits):
+        word = int(word)
+        while word:
+            b = word & -word
+            out.append(w * _WORD + b.bit_length() - 1)
+            word ^= b
+    return frozenset(out)
+
+
+def merge_naive(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
+    """Expand each singleton into a full bitvector, then OR pairwise,
+    allocating a new vector per step (Postgres's unoptimized bit_or)."""
+    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
+    for fid in singleton_ids:
+        single = np.zeros(n_words(n_fragments), dtype=np.uint64)
+        single[fid // _WORD] = np.uint64(1) << np.uint64(fid % _WORD)
+        acc = acc | single  # fresh allocation each iteration
+    return acc
+
+
+def merge_delay(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
+    """Propagate plain ids; set bits once at the merge point into a
+    single accumulator (no intermediate bitvectors), one id at a time —
+    the paper's *delay* method."""
+    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
+    for fid in set(int(i) for i in singleton_ids):
+        acc[fid // _WORD] |= np.uint64(1) << np.uint64(fid % _WORD)
+    return acc
+
+
+def merge_nocopy(singleton_ids: Sequence[int], n_fragments: int) -> np.ndarray:
+    """*delay* plus word-at-a-time vectorized OR with no per-id work
+    and no copies — the paper's *No-copy* method on top of delay."""
+    acc = np.zeros(n_words(n_fragments), dtype=np.uint64)
+    ids = np.unique(np.asarray(singleton_ids, dtype=np.int64))
+    # unbuffered OR: several ids land in the same word
+    np.bitwise_or.at(
+        acc, ids // _WORD, np.uint64(1) << (ids % _WORD).astype(np.uint64)
+    )
+    return acc
 
 
 def run_merge(
@@ -94,7 +149,7 @@ def run_merge(
     for n in n_frags:
         ids = g.integers(0, n, n_singletons)
         for method, fn in (
-            ("naive", lambda: _merge_naive_bytewise(ids[:20_000], n)),
+            ("naive", lambda: merge_naive(ids[:20_000], n)),
             ("delay", lambda: merge_delay(ids, n)),
             ("nocopy", lambda: merge_nocopy(ids, n)),
         ):

@@ -98,8 +98,8 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
 # Synthetic stand-ins for the PBDS paper's real-world datasets (Sec. 9.1).
 # Each keeps the original schema shape, cardinality ratios and — crucially
 # for PBDS — zipfian group-size skew, so that top-k / HAVING provenance is
-# a small, range-clusterable subset. ``*_pdf`` variants return pandas
-# frames (for the interpreter/oracle); the Spark variants wrap them.
+# a small, range-clusterable subset. They return pandas frames (for the
+# interpreter and the oracle); callers build Spark DataFrames from them.
 # ---------------------------------------------------------------------------
 
 _N_CRIMES_PER_SF = 6_700_000  # paper: ~6.7M Chicago crime records
@@ -129,10 +129,6 @@ def crimes_pdf(*, sf: float = 0.001, seed: int = 10) -> pd.DataFrame:
             "cr_year": g.integers(2001, 2021, n),
         }
     )
-
-
-def crimes(spark: SparkSession, *, sf: float = 0.001, seed: int = 10) -> DataFrame:
-    return spark.createDataFrame(crimes_pdf(sf=sf, seed=seed))
 
 
 _N_MOVIES_PER_SF = 27_000
@@ -177,18 +173,6 @@ def movie_tags_pdf(*, sf: float = 0.001, seed: int = 13) -> pd.DataFrame:
     )
 
 
-def movies(spark, *, sf: float = 0.001, seed: int = 11) -> DataFrame:
-    return spark.createDataFrame(movies_pdf(sf=sf, seed=seed))
-
-
-def ratings(spark, *, sf: float = 0.001, seed: int = 12) -> DataFrame:
-    return spark.createDataFrame(ratings_pdf(sf=sf, seed=seed))
-
-
-def movie_tags(spark, *, sf: float = 0.001, seed: int = 13) -> DataFrame:
-    return spark.createDataFrame(movie_tags_pdf(sf=sf, seed=seed))
-
-
 _N_SOF_USERS_PER_SF = 12_500_000
 _N_SOF_POSTS_PER_SF = 48_500_000
 _N_SOF_COMMENTS_PER_SF = 75_900_000
@@ -229,19 +213,3 @@ def sof_comments_pdf(*, sf: float = 0.0001, seed: int = 16) -> pd.DataFrame:
 
 def sof_badges_pdf(*, sf: float = 0.0001, seed: int = 17) -> pd.DataFrame:
     return _sof_activity("b", _N_SOF_BADGES_PER_SF, sf=sf, seed=seed)
-
-
-def sof_users(spark, *, sf: float = 0.0001, seed: int = 14) -> DataFrame:
-    return spark.createDataFrame(sof_users_pdf(sf=sf, seed=seed))
-
-
-def sof_posts(spark, *, sf: float = 0.0001, seed: int = 15) -> DataFrame:
-    return spark.createDataFrame(sof_posts_pdf(sf=sf, seed=seed))
-
-
-def sof_comments(spark, *, sf: float = 0.0001, seed: int = 16) -> DataFrame:
-    return spark.createDataFrame(sof_comments_pdf(sf=sf, seed=seed))
-
-
-def sof_badges(spark, *, sf: float = 0.0001, seed: int = 17) -> DataFrame:
-    return spark.createDataFrame(sof_badges_pdf(sf=sf, seed=seed))

@@ -12,7 +12,6 @@ which our generator models by making area/block zipfian).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.algebra.expr import Col, Lit, Param
@@ -28,10 +27,6 @@ def scan() -> TableAccess:
 
 def tables_pandas(sf: float = 0.001) -> dict[str, pd.DataFrame]:
     return {"crimes": synth_data.crimes_pdf(sf=sf)}
-
-
-def tables_spark(spark: SparkSession, sf: float = 0.001) -> dict:
-    return {"crimes": synth_data.crimes(spark, sf=sf)}
 
 
 def cq1() -> Op:

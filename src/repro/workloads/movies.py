@@ -11,7 +11,6 @@ distinct count is large, which the zipfian generator preserves.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.algebra.expr import Col, Lit, Param
@@ -36,13 +35,6 @@ def tables_pandas(sf: float = 0.001) -> dict[str, pd.DataFrame]:
     return {
         "ratings": synth_data.ratings_pdf(sf=sf),
         "movie_tags": synth_data.movie_tags_pdf(sf=sf),
-    }
-
-
-def tables_spark(spark: SparkSession, sf: float = 0.001) -> dict:
-    return {
-        "ratings": synth_data.ratings(spark, sf=sf),
-        "movie_tags": synth_data.movie_tags(spark, sf=sf),
     }
 
 

@@ -13,7 +13,6 @@ attribute) and users.u_id (equated via the join).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.algebra.expr import And, Col, Lit, Param
@@ -43,15 +42,6 @@ def tables_pandas(sf: float = 0.0001) -> dict[str, pd.DataFrame]:
         "posts": synth_data.sof_posts_pdf(sf=sf),
         "comments": synth_data.sof_comments_pdf(sf=sf),
         "badges": synth_data.sof_badges_pdf(sf=sf),
-    }
-
-
-def tables_spark(spark: SparkSession, sf: float = 0.0001) -> dict:
-    return {
-        "users": synth_data.sof_users(spark, sf=sf),
-        "posts": synth_data.sof_posts(spark, sf=sf),
-        "comments": synth_data.sof_comments(spark, sf=sf),
-        "badges": synth_data.sof_badges(spark, sf=sf),
     }
 
 

@@ -10,7 +10,7 @@ drawn as start + size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class Template:
     params: tuple[ParamSpec, ...] = ()
     # relation -> safe sketch attribute (verified by tests via Sec. 5)
     sketch_attrs: Mapping[str, str] = field(default_factory=dict)
-    # optional analytic selectivity estimate given a binding
-    selectivity: Optional[Callable[[Mapping[str, Any]], float]] = None
 
     def instance(self, **bindings) -> Op:
         # validate against the IR's parameters: sampled spec names may

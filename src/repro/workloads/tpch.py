@@ -21,7 +21,6 @@ from __future__ import annotations
 import datetime as dt
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.algebra.expr import And, Col, Lit, Or, Param
@@ -48,8 +47,6 @@ def scan(name: str) -> TableAccess:
 
 
 def tables_pandas(sf: float = 0.01) -> dict[str, pd.DataFrame]:
-    import numpy as np
-
     # reuse the Spark generators' pandas construction deterministically
     class _Fake:
         @staticmethod
@@ -61,15 +58,6 @@ def tables_pandas(sf: float = 0.01) -> dict[str, pd.DataFrame]:
         "orders": synth_data.orders(_Fake, sf=sf),
         "customer": synth_data.customer(_Fake, sf=sf),
         "part": synth_data.part(_Fake, sf=sf),
-    }
-
-
-def tables_spark(spark: SparkSession, sf: float = 0.01) -> dict:
-    return {
-        "lineitem": synth_data.lineitem(spark, sf=sf),
-        "orders": synth_data.orders(spark, sf=sf),
-        "customer": synth_data.customer(spark, sf=sf),
-        "part": synth_data.part(spark, sf=sf),
     }
 
 

@@ -121,6 +121,49 @@ class TestOperators:
         check(TopK(agg, (("tot", False), ("region", True)), 2), db)
 
 
+def agree(spark, q, want: pd.DataFrame, **tables):
+    """Spark, DuckDB and the pandas interpreter all return ``want``;
+    ``tables`` maps a name to (rows, Spark schema)."""
+    sdb = {n: spark.createDataFrame(rows, schema) for n, (rows, schema) in tables.items()}
+    pdb = {n: df.toPandas() for n, df in sdb.items()}
+    check(q, sdb, **pdb)
+    for got in (result_frame(q, pdb), compile_op(q, sdb).toPandas()):
+        pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+
+
+class TestGroundTruthAgrees:
+    """Edge cases where the interpreter must follow SQL/Spark semantics."""
+
+    L = TableAccess("l", ("a",))
+    R = TableAccess("r", ("b",))
+
+    def test_null_join_key_matches_nothing(self, spark):
+        q = Join(self.L, self.R, Col("a").eq(Col("b")))
+        agree(
+            spark, q, pd.DataFrame({"a": [1], "b": [1]}),
+            l=([(1,), (None,)], "a long"), r=([(1,), (None,)], "b long"),
+        )
+
+    def test_same_side_equality_is_a_filter(self, spark):
+        lac = TableAccess("l", ("a", "c"))
+        q = Join(lac, self.R, And(Col("a").eq(Col("b")), Col("a").eq(Col("c"))))
+        agree(
+            spark, q, pd.DataFrame({"a": [1], "c": [1], "b": [1]}),
+            l=([(1, 1), (1, 2)], "a long, c long"), r=([(1,)], "b long"),
+        )
+
+    @pytest.mark.parametrize(
+        "asc, want", [(True, (None, 2)), (False, (3.0, 3))], ids=["asc", "desc"]
+    )
+    def test_topk_null_order(self, spark, asc, want):
+        # Spark's default: NULLS FIRST ascending, NULLS LAST descending
+        q = TopK(TableAccess("t", ("a", "x")), (("a", asc),), 1)
+        agree(
+            spark, q, pd.DataFrame([want], columns=["a", "x"], dtype="float64"),
+            t=([(1.0, 1), (None, 2), (3.0, 3)], "a double, x long"),
+        )
+
+
 LITS = pd.DataFrame(
     {
         "s": ["it's", "a\\b", "plain", None],

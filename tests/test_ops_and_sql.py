@@ -86,14 +86,18 @@ class TestParams:
 
 class TestEquiPairs:
     def test_simple(self):
-        assert Join(R, S, Col("a").eq(Col("c"))).equi_pairs() == [("a", "c")]
+        assert Join(R, S, Col("a").eq(Col("c"))).split() == ([("a", "c")], [])
 
     def test_flipped_sides(self):
-        assert Join(R, S, Col("c").eq(Col("a"))).equi_pairs() == [("a", "c")]
+        assert Join(R, S, Col("c").eq(Col("a"))).split() == ([("a", "c")], [])
 
     def test_conjunction(self):
         j = Join(R, S, And(Col("a").eq(Col("c")), Col("b").gt(Col("d"))))
-        assert j.equi_pairs() == [("a", "c")]
+        assert j.split() == ([("a", "c")], [Col("b").gt(Col("d"))])
+
+    def test_same_side_equality_is_residual(self):
+        j = Join(R, S, And(Col("a").eq(Col("c")), Col("a").eq(Col("b"))))
+        assert j.split() == ([("a", "c")], [Col("a").eq(Col("b"))])
 
 
 class TestSqlAgainstDuck:

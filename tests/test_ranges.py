@@ -94,6 +94,16 @@ class TestEquiDepth:
         assert p.n_fragments >= 2
         assert p.fragment_of("a") == 0
 
+    @pytest.mark.parametrize("dtype", ["float64", "Int64"])
+    def test_cuts_ignore_nulls(self, dtype):
+        # a NULL neither becomes a cut nor shifts the quantiles; it
+        # falls in the last fragment
+        s = pd.Series([1, 2, None, 4, 5, 6, 7, 8], dtype=dtype)
+        p = equi_depth(s, "r", "a", 4)
+        assert p.boundaries == equi_depth(s.dropna().astype("int64"), "r", "a", 4).boundaries
+        assert p.boundaries == (2, 5, 6)
+        assert p.fragment_of_series(s)[2] == p.n_fragments - 1
+
     @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=300), st.integers(1, 32))
     @settings(max_examples=50, deadline=None)
     def test_partition_covers_domain(self, vals, n):

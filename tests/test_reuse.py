@@ -7,14 +7,14 @@ instance's accurate sketch must answer the new instance correctly
 """
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expr import And, Col, Lit, Param
 from repro.algebra.interp import accurate_sketch, result_frame, sketch_instance
 from repro.algebra.ops import Aggregate, AggSpec, Project, Select, TableAccess, TopK
 from repro.core.reuse import ge, non_grp_pred, reusable, uconds
-from repro.core.ranges import equi_depth
+from repro.core.ranges import RangePartition, equi_depth
 from repro.physical.stats import table_stats_pandas
 from repro.workloads import crimes as WC
 from repro.workloads import sof as WS
@@ -111,6 +111,21 @@ class TestStructuralChecks:
         q = WC.cq1()
         assert reusable(WC.cq1(), q, None).reusable
 
+    def test_topk_over_narrower_selection_not_reusable(self):
+        # Q's top 1 is (1, 100), its sketch {1}; Q' drops that row and its
+        # true top 1, (20, 50), lies outside the sketch
+        t = pd.DataFrame({"a": [1, 7, 20], "v": [100, 10, 50]})
+        scan = TableAccess("t", ("a", "v"))
+
+        def q(lo):
+            return TopK(Select(scan, Col("a").gt(Lit(lo))), (("v", False),), 1)
+
+        assert not reusable(q(5), q(0), None).reusable
+        part = RangePartition("t", "a", (0, 10))
+        inst = sketch_instance({"t": t}, {"t": part}, accurate_sketch(q(0), {"t": t}, {"t": part}))
+        assert list(result_frame(q(5), inst)["a"]) == [7]
+        assert list(result_frame(q(5), {"t": t})["a"]) == [20]
+
     def test_non_grp_pred_drops_group_only_conjuncts(self):
         sel = Select(SCAN, And(Col("state").gt(Lit("AA")), Col("popden").gt(Lit(10))))
         # conjunct on the group attr only is dropped
@@ -175,3 +190,25 @@ class TestReuseSoundnessProperty:
         got = result_frame(q_new, inst).sort_values("state").reset_index(drop=True)
         exp = result_frame(q_new, db).sort_values("state").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+    @given(
+        st.integers(2, 7),  # old threshold on popden, in thousands
+        st.integers(-1, 1),  # shift of the new threshold
+        st.integers(1, 3),  # k
+        st.integers(2, 5),  # fragments
+    )
+    @example(3, 1, 3, 5)  # Q' ranks (c2, 5000) third, outside Q's sketch
+    @settings(max_examples=40, deadline=None)
+    def test_topk_reuse(self, t_old, delta, k, n_frag):
+        db = {"cities": CITIES}
+
+        def q(t):
+            return TopK(Select(SCAN, Col("popden").gt(Lit(t * 1000))), (("city", False),), k)
+
+        q_old, q_new = q(t_old), q(t_old + delta)
+        if not reusable(q_new, q_old, STATS).reusable:
+            return
+        part = equi_depth(CITIES["popden"], "cities", "popden", n_frag)
+        sk = accurate_sketch(q_old, db, {"cities": part})
+        inst = sketch_instance(db, {"cities": part}, sk)
+        pd.testing.assert_frame_equal(result_frame(q_new, inst), result_frame(q_new, db))

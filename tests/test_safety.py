@@ -134,6 +134,18 @@ class TestOperatorRules:
         )
         assert not is_safe(q, {"cities": ["popden"]}, None).safe
 
+    def test_selection_over_topk_unsafe(self):
+        # the sketch of the top 2 by v keeps (3, 30) when every row sits
+        # in one fragment, and the selection above then returns it
+        t = pd.DataFrame({"id": [1, 2, 3], "v": [100, 40, 30]})
+        q = Select(TopK(TableAccess("t", ("id", "v")), (("v", False),), 2), Col("v").lt(Lit(50)))
+        for attr, cuts in (("v", (50,)), ("id", (1, 3))):
+            verdict = is_safe(q, {"t": [attr]}, table_stats_pandas({"t": t}))
+            assert not verdict.safe and "top-k" in verdict.reason
+            part = RangePartition("t", attr, cuts)
+            inst = sketch_instance({"t": t}, {"t": part}, accurate_sketch(q, {"t": t}, {"t": part}))
+            assert len(result_frame(q, inst)) > len(result_frame(q, {"t": t}))
+
     def test_topk_on_count_safe_group_attr(self):
         q = TopK(
             Aggregate(SCAN, ("state",), (AggSpec("count", None, "n"),)),
@@ -252,6 +264,7 @@ class TestSoundnessProperty:
                 Col("n").gt(Lit(2)),
             ),
             Aggregate(SCAN, ("state",), (AggSpec("sum", "popden", "tot"),)),
+            Select(TopK(SCAN, (("city", False),), 2), Col("popden").lt(Lit(5000))),
         ]
         for q in queries:
             for attr in ("state", "popden"):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.ranges import equi_depth
-from repro.core.selftune import SelfTuningDriver
+from repro.core.selftune import SEL_THRESHOLD, SelfTuningDriver
+from repro.core.sketch import ProvenanceSketch
 from repro.physical.stats import table_stats_pandas
 from repro.workloads import crimes as WC
 
@@ -59,12 +60,16 @@ class TestGates:
             assert d.run("C-Q2", WC.cq2(t)).action == "plain"
         assert not d.store.entries
 
-    def test_selectivity_gate(self, setup):
-        d = mk_driver(
-            setup, strategy="eager", patience=0,
-            estimator=lambda tmpl, inst: 0.99,
-        )
-        assert d.run("C-Q2", WC.cq2(250)).action == "plain"
+    def test_coverage_gate(self, setup):
+        # a stored sketch covering more than 75 % of its fragments is
+        # not used: the query is a miss, so the eager driver captures
+        part = setup[2][("crimes", "cr_block")]
+        at_gate = int(SEL_THRESHOLD * part.n_fragments)
+        for covered, action in ((at_gate, "use"), (at_gate + 1, "capture")):
+            d = mk_driver(setup, strategy="eager", patience=0)
+            sketch = ProvenanceSketch(part, frozenset(range(covered)))
+            d.store.add("C-Q2", WC.cq2(250), {"crimes": sketch})
+            assert d.run("C-Q2", WC.cq2(300)).action == action
 
     def test_unknown_template_runs_plain(self, setup):
         d = mk_driver(setup, strategy="eager", patience=0)

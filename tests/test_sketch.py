@@ -1,23 +1,22 @@
-"""Provenance sketches: codec, merges, set operations (Sec. 7)."""
+"""Provenance sketches (Def. 3), and the bitvector codec and merge
+strategies of the Fig. 12b micro-benchmark (Sec. 7)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ranges import RangePartition
-from repro.core.sketch import (
-    ProvenanceSketch,
+from repro.core.sketch import ProvenanceSketch
+from repro.experiments.fig12_capture_opts import (
     bits_to_fragments,
     fragments_to_bits,
     merge_delay,
     merge_naive,
     merge_nocopy,
-    merge_partials,
     n_words,
 )
 
 P4 = RangePartition("r", "a", (10, 20, 30))
-P100 = RangePartition("r", "a", tuple(range(1, 100)))
 
 
 class TestSketch:
@@ -32,26 +31,10 @@ class TestSketch:
     def test_selectivity(self):
         assert ProvenanceSketch(P4, frozenset({0, 1})).selectivity() == 0.5
 
-    def test_superset(self):
-        big = ProvenanceSketch(P4, frozenset({0, 1, 2}))
-        small = ProvenanceSketch(P4, frozenset({1}))
-        assert big.is_superset(small) and not small.is_superset(big)
-
-    def test_union(self):
-        a = ProvenanceSketch(P4, frozenset({0}))
-        b = ProvenanceSketch(P4, frozenset({3}))
-        assert a.union(b).fragments == {0, 3}
-
-    def test_union_partition_mismatch(self):
-        with pytest.raises(ValueError):
-            ProvenanceSketch(P4, frozenset()).union(
-                ProvenanceSketch(P100, frozenset())
-            )
-
     def test_size_bytes_compact(self):
         # the paper: sketches are 10s-100s of bytes even for many fragments
-        s = ProvenanceSketch(P100, frozenset({5, 50, 99}))
-        assert s.size_bytes() == n_words(100) * 8 == 16
+        bits = fragments_to_bits(frozenset({5, 50, 99}), 100)
+        assert bits.nbytes == n_words(100) * 8 == 16
 
 
 class TestBitsetCodec:
@@ -68,7 +51,7 @@ class TestBitsetCodec:
 
     def test_bitvector_from_sketch(self):
         s = ProvenanceSketch(P4, frozenset({1, 2}))
-        assert ProvenanceSketch.from_bitvector(P4, s.to_bitvector()) == s
+        assert bits_to_fragments(fragments_to_bits(s.fragments, 4)) == s.fragments
 
     @given(st.sets(st.integers(0, 499), max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -84,11 +67,8 @@ class TestMergeStrategies:
         naive = merge_naive(ids, n)
         delay = merge_delay(ids, n)
         nocopy = merge_nocopy(ids, n)
-        singles = np.stack([fragments_to_bits({i}, n) for i in ids])
-        partial = merge_partials(singles)
         assert np.array_equal(naive, delay)
         assert np.array_equal(naive, nocopy)
-        assert np.array_equal(naive, partial)
         assert bits_to_fragments(naive) == frozenset(ids)
 
     def test_same_word_ids(self):
@@ -96,8 +76,3 @@ class TestMergeStrategies:
         out = merge_nocopy([0, 1, 2, 63], 64)
         assert bits_to_fragments(out) == {0, 1, 2, 63}
 
-    def test_partials_inplace_shape(self):
-        singles = np.stack([fragments_to_bits({i}, 128) for i in (0, 64, 127)])
-        out = merge_partials(singles)
-        assert out.shape == (2,)
-        assert bits_to_fragments(out) == {0, 64, 127}

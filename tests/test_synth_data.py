@@ -55,8 +55,6 @@ class TestShapes:
         assert len(c) > len(p) > len(b) > 0
 
     def test_tpch_lite_fk_domains(self):
-        li = sd.lineitem.__wrapped__ if hasattr(sd.lineitem, "__wrapped__") else None
-        # use the pandas-returning trick from the workload module
         from repro.workloads.tpch import tables_pandas
 
         t = tables_pandas(sf=0.001)

@@ -151,6 +151,17 @@ class TestNullKeys:
         assert np.isnan(got["a"][0]) and list(got["v"]) == [99]
 
 
+    def test_equi_depth_over_null_column(self, spark):
+        rows = [(1.0, 1), (2.0, 5), (None, 99), (4.0, 3), (5.0, 7), (6.0, 2), (7.0, 80), (8.0, 4)]
+        db = {"t": spark.createDataFrame(rows, "a double, v long")}
+        part = equi_depth(pd.DataFrame(rows, columns=["a", "v"])["a"], "t", "a", 4)
+        assert part.boundaries == (2.0, 5.0, 6.0)
+        for q in (self.TOP1, Select(self.SCAN, Col("v").lt(Lit(5)))):
+            sk = capture_sketch(q, db, {"t": part})
+            got = compile_op(apply_sketches(q, sk), db).toPandas()
+            pd.testing.assert_frame_equal(_canon(got), _canon(compile_op(q, db).toPandas()))
+
+
 class TestViews:
     def test_same_name_different_mappings(self, spark):
         # each mapping reads its own DataFrame, whatever was bound before
