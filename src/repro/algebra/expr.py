@@ -30,15 +30,30 @@ def _null_safe_eq(l, r):
     return (l == r) | (l.isna() & r.isna())
 
 
+def _unless_null(op):
+    """``op`` as a SQL filter reads it: a comparison with a NULL operand
+    is never true (``NULL <> 1`` keeps no row), and it is not evaluated,
+    so an all-NULL column need not have the other operand's type."""
+
+    def cmp(l, r):
+        known = l.notna() & r.notna()
+        out = np.zeros(len(l), dtype=bool)
+        if known.any():
+            out[known.to_numpy()] = op(l[known], r[known]).to_numpy(dtype=bool)
+        return pd.Series(out, index=l.index)
+
+    return cmp
+
+
 # Op string -> the pandas operator for ``eval_pandas``. ``<=>`` is the
 # null-safe equality (SQL ``IS NOT DISTINCT FROM``): NULL matches NULL.
 _CMP_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+    "=": _unless_null(operator.eq),
+    "<>": _unless_null(operator.ne),
+    "<": _unless_null(operator.lt),
+    "<=": _unless_null(operator.le),
+    ">": _unless_null(operator.gt),
+    ">=": _unless_null(operator.ge),
     "<=>": _null_safe_eq,
 }
 _ARITH_OPS = {

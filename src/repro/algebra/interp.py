@@ -148,10 +148,13 @@ def _eval_aggregate(q: Aggregate, db, minmax_witness: bool) -> pd.DataFrame:
             else:
                 col = grp[s.attr]
                 rec[s.alias] = {
-                    "sum": col.sum,
+                    # SQL: the sum of no non-NULL value is NULL, not 0
+                    "sum": lambda: col.sum(min_count=1),
                     "avg": col.mean,
-                    "min": col.min,
-                    "max": col.max,
+                    # over the non-NULL values: pandas' skipna misses a
+                    # NaN among strings
+                    "min": lambda: col.dropna().min(),
+                    "max": lambda: col.dropna().max(),
                 }[s.func]()
         if witness is not None and len(grp) > 0:
             ext = grp[witness.attr].min() if witness.func == "min" else grp[

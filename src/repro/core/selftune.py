@@ -10,8 +10,9 @@
     ``patience`` misses ("enough evidence the sketch is needed"),
     then capture.
   A stored sketch that covers more than ``SEL_THRESHOLD`` of its
-  fragments (75 %, the paper's selectivity gate) is not used; the query
-  counts as a miss.
+  fragments (75 %, the paper's selectivity gate) is not used: ``find``
+  passes over it to the next reusable entry, and the query counts as a
+  miss only when none is left.
 * ``amortization_table`` reproduces Fig. 14's cost model: running a
   query n times costs ``n * C_NoPS`` without PBDS and
   ``C_cap + n * C_use`` with a sketch; for each n the cheapest option
@@ -93,8 +94,11 @@ class SketchStore:
         self.entries.append(StoreEntry(template, instance, sketches, cov))
 
     def find(self, template: str, instance: Op) -> Optional[StoreEntry]:
+        """The first stored entry of ``template`` that passes the
+        selectivity gate and the reuse test for ``instance``. An entry
+        without sketches has nothing to gate (the driver stores none)."""
         for e in self.entries:
-            if e.template != template:
+            if e.template != template or (e.sketches and e.coverage > SEL_THRESHOLD):
                 continue
             self.reuse_checks += 1
             if reusable(instance, e.instance, self.stats).reusable:
@@ -154,7 +158,7 @@ class SelfTuningDriver:
             self.events.append(ev)
             return ev
         entry = self.store.find(template, instance)
-        if entry is not None and entry.coverage <= SEL_THRESHOLD:
+        if entry is not None:
             t0 = time.perf_counter()
             compile_op(apply_sketches(instance, entry.sketches), self.tables).collect()
             ev = QueryEvent(idx, template, "use", time.perf_counter() - t0, nops_s)

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.algebra.compile_spark import compile_op
 from repro.core.ranges import equi_depth
 from repro.core.selftune import SEL_THRESHOLD, SelfTuningDriver
 from repro.core.sketch import ProvenanceSketch
+from repro.core.use import apply_sketches
+from repro.oracle import _canon
 from repro.physical.stats import table_stats_pandas
 from repro.workloads import crimes as WC
 
@@ -70,6 +73,23 @@ class TestGates:
             sketch = ProvenanceSketch(part, frozenset(range(covered)))
             d.store.add("C-Q2", WC.cq2(250), {"crimes": sketch})
             assert d.run("C-Q2", WC.cq2(300)).action == action
+
+    def test_gate_passes_over_to_a_narrower_entry(self, setup):
+        # a wide entry stored first must not hide a reusable narrow one
+        db, _, parts = setup
+        part = parts[("crimes", "cr_block")]
+        wide = int(SEL_THRESHOLD * part.n_fragments) + 1
+        d = mk_driver(setup, strategy="eager", patience=0)
+        d.store.add("C-Q2", WC.cq2(250), {"crimes": ProvenanceSketch(part, frozenset(range(wide)))})
+        assert d.run("C-Q2", WC.cq2(260)).action == "capture"
+        q = WC.cq2(300)
+        assert d.run("C-Q2", q).action == "use"
+        entry = d.store.find("C-Q2", q)
+        assert entry is d.store.entries[1]
+        got = compile_op(apply_sketches(q, entry.sketches), db).toPandas()
+        want = compile_op(q, db).toPandas()
+        assert len(want) > 0
+        assert _canon(got).equals(_canon(want))
 
     def test_unknown_template_runs_plain(self, setup):
         d = mk_driver(setup, strategy="eager", patience=0)

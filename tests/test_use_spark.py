@@ -9,6 +9,7 @@ import gc
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import StorageLevel
 
 from repro.algebra import compile_spark, interp
 
@@ -162,6 +163,17 @@ class TestNullKeys:
             pd.testing.assert_frame_equal(_canon(got), _canon(compile_op(q, db).toPandas()))
 
 
+def _leaves(df) -> set[str]:
+    """Class names of the leaves of ``df``'s analyzed plan."""
+    leaves = df._jdf.queryExecution().analyzed().collectLeaves()
+    return {leaves.apply(i).getClass().getSimpleName() for i in range(leaves.size())}
+
+
+def _reads_memory(df) -> bool:
+    """Whether ``df``'s physical plan scans an in-memory cache."""
+    return "InMemoryTableScan" in df._jdf.queryExecution().executedPlan().toString()
+
+
 class TestViews:
     def test_same_name_different_mappings(self, spark):
         # each mapping reads its own DataFrame, whatever was bound before
@@ -176,7 +188,7 @@ class TestViews:
         q = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
         df = spark.createDataFrame(CITIES)
         counted = compile_op(q, {"cities": df})
-        name = compile_spark._views[df]
+        name = compile_spark._view(df)
         assert spark.catalog.tableExists(name)
         del df
         gc.collect()
@@ -196,6 +208,74 @@ class TestViews:
             assert cached.is_cached
         finally:
             cached.unpersist()
+
+    def test_cached_table_planned_as_in_memory_relation(self, spark):
+        # the pandas rows stay under the cache: Catalyst plans over the
+        # InMemoryRelation, not over a LocalRelation holding every row
+        q = Select(SCAN, Col("popden").gt(Lit(3000)))
+        assert "LocalRelation" in _leaves(compile_op(q, {"cities": spark.createDataFrame(CITIES)}))
+        cached = spark.createDataFrame(CITIES)
+        cached.cache().count()
+        try:
+            assert _leaves(compile_op(q, {"cities": cached})) == {"InMemoryRelation"}
+        finally:
+            cached.unpersist()
+
+    def test_cache_after_compile(self, spark):
+        q = Select(SCAN, Col("popden").gt(Lit(3000)))
+        df = spark.createDataFrame(CITIES)
+        assert not _reads_memory(compile_op(q, {"cities": df}))
+        df.cache().count()
+        try:
+            got = compile_op(q, {"cities": df})
+            assert _reads_memory(got)
+            assert len(got.collect()) == 5
+        finally:
+            df.unpersist()
+
+    def test_unpersist_after_compile(self, spark):
+        q = Select(SCAN, Col("popden").gt(Lit(3000)))
+        df = spark.createDataFrame(CITIES)
+        df.cache().count()
+        assert _reads_memory(compile_op(q, {"cities": df}))
+        df.unpersist(blocking=True)
+        got = compile_op(q, {"cities": df})
+        assert not _reads_memory(got)
+        assert len(got.collect()) == 5
+        # a view left over the dropped cache would have rebuilt it
+        assert df.storageLevel == StorageLevel.NONE
+
+    def test_reregistering_never_uncaches(self, spark):
+        q = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
+        df = spark.createDataFrame(CITIES)
+        df.cache().count()
+        try:
+            assert compile_op(q, {"cities": df}).collect()[0]["n"] == len(CITIES)
+            df.unpersist(blocking=True)
+            assert compile_op(q, {"cities": df}).collect()[0]["n"] == len(CITIES)
+            df.cache().count()
+            for _ in range(2):
+                got = compile_op(q, {"cities": df})
+                assert _reads_memory(got)
+                assert got.collect()[0]["n"] == len(CITIES)
+                assert df.is_cached and df.storageLevel.useMemory
+        finally:
+            df.unpersist()
+
+    def test_view_of_old_cache_state_retired(self, spark):
+        q = Aggregate(SCAN, (), (AggSpec("count", None, "n"),))
+        df = spark.createDataFrame(CITIES)
+        counted = compile_op(q, {"cities": df})
+        old = compile_spark._view(df)
+        df.cache().count()
+        try:
+            compile_op(q, {"cities": df})
+            compile_op(q, {"cities": df})
+            assert compile_spark._view(df) != old
+            assert not spark.catalog.tableExists(old)
+            assert counted.collect()[0]["n"] == len(CITIES)
+        finally:
+            df.unpersist()
 
 
 class TestParquetPushdown:
