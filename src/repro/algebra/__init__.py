@@ -26,9 +26,6 @@ from repro.algebra.expr import (  # noqa: F401
     Not,
     Or,
     Param,
-    between,
-    col,
-    lit,
 )
 from repro.algebra.ops import (  # noqa: F401
     Aggregate,

@@ -11,16 +11,21 @@ Expressions are immutable trees. Each node can
 * substitute parameter bindings (``bind``) — this is how a
   parameterized query template (Sec. 6 of the paper) is instantiated.
 
+The last three, and every other tree rewrite, are defined once on
+``Node`` over its field-driven ``children`` and ``map``; the
+operators of ``ops`` share them.
+
 Comparison/boolean nodes are also the *atoms* consumed by the safety
 and reuse checkers (``repro.solver``).
 """
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import pandas as pd
@@ -111,8 +116,60 @@ def sql_literal(v: Any, dialect: str = "duckdb") -> str:
     return repr(v)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _nodes(v, out: list) -> None:
+    """Append the IR nodes in a field value to ``out``, looking inside
+    tuples."""
+    if isinstance(v, Node):
+        out.append(v)
+    elif isinstance(v, tuple):
+        for x in v:
+            _nodes(x, out)
+
+
+def _rebuilt(v, f):
+    """``v`` with ``f`` applied to each IR node in it."""
+    if isinstance(v, Node):
+        return f(v)
+    if isinstance(v, tuple):
+        return tuple(_rebuilt(x, f) for x in v)
+    return v
+
+
+class Node:
+    """An IR node, ``Expr`` or ``ops.Op``: a frozen dataclass whose
+    children are the nodes among its field values, looking inside
+    tuples (``Project.items``, ``And.terms``). Every traversal is
+    defined once over ``children`` and ``map``; a subclass adds only
+    its leaf semantics (``Col.columns``, ``Param.bind``/``params``,
+    ``TableAccess.relations``)."""
+
+    def children(self) -> tuple["Node", ...]:
+        out: list[Node] = []
+        for name in _field_names(type(self)):
+            _nodes(getattr(self, name), out)
+        return tuple(out)
+
+    def map(self, f: Callable[["Node"], "Node"]) -> "Node":
+        """A new node of the same class with ``f`` applied to each child."""
+        return type(self)(
+            *(_rebuilt(getattr(self, name), f) for name in _field_names(type(self)))
+        )
+
+    def params(self) -> frozenset[str]:
+        return frozenset().union(*(c.params() for c in self.children()))
+
+    def bind(self, bindings: Mapping[str, Any]):
+        """Replace ``Param`` nodes with literals from ``bindings``."""
+        return self.map(lambda c: c.bind(bindings))
+
+
 @dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     """Base class for scalar expressions."""
 
     def to_sql(self, dialect: str = "duckdb") -> str:
@@ -122,19 +179,7 @@ class Expr:
         raise NotImplementedError
 
     def columns(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    def params(self) -> frozenset[str]:
-        return frozenset().union(
-            *(c.params() for c in self.children()), frozenset()
-        )
-
-    def children(self) -> tuple["Expr", ...]:
-        return ()
-
-    def bind(self, bindings: Mapping[str, Any]) -> "Expr":
-        """Replace ``Param`` nodes with literals from ``bindings``."""
-        return self
+        return frozenset().union(*(c.columns() for c in self.children()))
 
     # sugar -----------------------------------------------------------
     def __add__(self, o):
@@ -188,9 +233,6 @@ class Col(Expr):
     def columns(self) -> frozenset[str]:
         return frozenset({self.name})
 
-    def bind(self, bindings):
-        return self
-
 
 @dataclass(frozen=True)
 class Lit(Expr):
@@ -203,12 +245,6 @@ class Lit(Expr):
 
     def eval_pandas(self, df: pd.DataFrame):
         return pd.Series([self.value] * len(df), index=df.index)
-
-    def columns(self) -> frozenset[str]:
-        return frozenset()
-
-    def bind(self, bindings):
-        return self
 
 
 @dataclass(frozen=True)
@@ -223,9 +259,6 @@ class Param(Expr):
 
     def eval_pandas(self, df: pd.DataFrame):
         raise ValueError(f"unbound parameter ${self.name}")
-
-    def columns(self) -> frozenset[str]:
-        return frozenset()
 
     def params(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -248,20 +281,11 @@ class BinOp(Expr):
         if self.op not in _ARITH_OPS:
             raise ValueError(f"bad arithmetic op {self.op!r}")
 
-    def children(self):
-        return (self.left, self.right)
-
     def to_sql(self, dialect: str = "duckdb") -> str:
         return f"({self.left.to_sql(dialect)} {self.op} {self.right.to_sql(dialect)})"
 
     def eval_pandas(self, df):
         return _ARITH_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
-
-    def columns(self):
-        return self.left.columns() | self.right.columns()
-
-    def bind(self, bindings):
-        return BinOp(self.op, self.left.bind(bindings), self.right.bind(bindings))
 
 
 @dataclass(frozen=True)
@@ -276,9 +300,6 @@ class Cmp(Expr):
         if self.op not in _CMP_OPS:
             raise ValueError(f"bad comparison op {self.op!r}")
 
-    def children(self):
-        return (self.left, self.right)
-
     def to_sql(self, dialect: str = "duckdb") -> str:
         op = self.op
         if op == "<=>" and dialect == "duckdb":
@@ -288,12 +309,6 @@ class Cmp(Expr):
     def eval_pandas(self, df):
         return _CMP_OPS[self.op](self.left.eval_pandas(df), self.right.eval_pandas(df))
 
-    def columns(self):
-        return self.left.columns() | self.right.columns()
-
-    def bind(self, bindings):
-        return Cmp(self.op, self.left.bind(bindings), self.right.bind(bindings))
-
 
 @dataclass(frozen=True)
 class IsNull(Expr):
@@ -301,118 +316,53 @@ class IsNull(Expr):
 
     term: Expr
 
-    def children(self):
-        return (self.term,)
-
     def to_sql(self, dialect: str = "duckdb") -> str:
         return f"({self.term.to_sql(dialect)} IS NULL)"
 
     def eval_pandas(self, df):
         return self.term.eval_pandas(df).isna()
 
-    def columns(self):
-        return self.term.columns()
-
-    def bind(self, bindings):
-        return IsNull(self.term.bind(bindings))
-
 
 @dataclass(frozen=True)
-class And(Expr):
+class _Connective(Expr):
+    """``And``/``Or``: n-ary, taking its terms as varargs; a term of the
+    same connective is flattened into the others."""
+
     terms: tuple[Expr, ...]
 
     def __init__(self, *terms: Expr):
         flat: list[Expr] = []
         for t in terms:
-            if isinstance(t, And):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
+            flat.extend(t.terms if type(t) is type(self) else (t,))
         object.__setattr__(self, "terms", tuple(flat))
 
-    def children(self):
-        return self.terms
+    def map(self, f):
+        return type(self)(*(f(t) for t in self.terms))
 
     def to_sql(self, dialect: str = "duckdb") -> str:
-        return "(" + " AND ".join(t.to_sql(dialect) for t in self.terms) + ")"
+        return "(" + f" {self._sql} ".join(t.to_sql(dialect) for t in self.terms) + ")"
 
     def eval_pandas(self, df):
-        s = self.terms[0].eval_pandas(df)
-        for t in self.terms[1:]:
-            s = s & t.eval_pandas(df)
-        return s
-
-    def columns(self):
-        return frozenset().union(*(t.columns() for t in self.terms))
-
-    def bind(self, bindings):
-        return And(*(t.bind(bindings) for t in self.terms))
+        return functools.reduce(self._combine, (t.eval_pandas(df) for t in self.terms))
 
 
-@dataclass(frozen=True)
-class Or(Expr):
-    terms: tuple[Expr, ...]
+class And(_Connective):
+    _sql, _combine = "AND", operator.and_
 
-    def __init__(self, *terms: Expr):
-        flat: list[Expr] = []
-        for t in terms:
-            if isinstance(t, Or):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        object.__setattr__(self, "terms", tuple(flat))
 
-    def children(self):
-        return self.terms
-
-    def to_sql(self, dialect: str = "duckdb") -> str:
-        return "(" + " OR ".join(t.to_sql(dialect) for t in self.terms) + ")"
-
-    def eval_pandas(self, df):
-        s = self.terms[0].eval_pandas(df)
-        for t in self.terms[1:]:
-            s = s | t.eval_pandas(df)
-        return s
-
-    def columns(self):
-        return frozenset().union(*(t.columns() for t in self.terms))
-
-    def bind(self, bindings):
-        return Or(*(t.bind(bindings) for t in self.terms))
+class Or(_Connective):
+    _sql, _combine = "OR", operator.or_
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     term: Expr
 
-    def children(self):
-        return (self.term,)
-
     def to_sql(self, dialect: str = "duckdb") -> str:
         return f"(NOT {self.term.to_sql(dialect)})"
 
     def eval_pandas(self, df):
         return ~self.term.eval_pandas(df)
-
-    def columns(self):
-        return self.term.columns()
-
-    def bind(self, bindings):
-        return Not(self.term.bind(bindings))
-
-
-def col(name: str) -> Col:
-    return Col(name)
-
-
-def lit(v: Any) -> Lit:
-    return Lit(v)
-
-
-def between(attr: Expr, lo, hi) -> And:
-    """Closed-interval membership ``lo <= attr <= hi`` — the shape of
-    the conditions a range-based sketch decodes to (Sec. 8, Eq. 2)."""
-    return And(attr.ge(_wrap(lo)), attr.le(_wrap(hi)))
 
 
 def split_conjuncts(cond: Expr) -> tuple[list[tuple[str, str]], list[Expr]]:

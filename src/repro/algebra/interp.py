@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
 import pandas as pd
 
 from repro.algebra.ops import (
@@ -135,14 +134,6 @@ def _eval_aggregate(q: Aggregate, db, minmax_witness: bool) -> pd.DataFrame:
                 rec[s.alias] = (
                     len(grp) if s.attr is None else int(grp[s.attr].notna().sum())
                 )
-            elif s.func == "sketch":
-                vals: set[int] = set()
-                for v in grp[s.attr]:
-                    if isinstance(v, (list, tuple, np.ndarray, set, frozenset)):
-                        vals.update(int(x) for x in v)
-                    else:
-                        vals.add(int(v))
-                rec[s.alias] = sorted(vals)
             elif len(grp) == 0:
                 rec[s.alias] = None
             else:

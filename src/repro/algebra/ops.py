@@ -1,10 +1,13 @@
 """Logical operators of the bag relational algebra (paper Fig. 2).
 
 Each operator node knows its output ``schema()`` (attribute names, in
-order), its ``children()``, the base ``relations()`` it accesses, and
-how to ``bind()`` parameters. Attribute names are assumed globally
-unique across base relations (paper Sec. 5.2's simplifying assumption);
-workload schemas use prefixed names (``l_``, ``o_``, ...) so this holds.
+order) and the base ``relations()`` it accesses; ``children()``,
+``map()``, ``params()`` and ``bind()`` come from ``expr.Node``, whose
+children are the operators and expressions in a node's fields.
+Attribute names are assumed globally unique across base relations
+(paper Sec. 5.2's simplifying assumption); workload schemas use
+prefixed names (``l_``, ``o_``, ...) so this holds, and an operator
+whose output would repeat a name is rejected at construction.
 
 Rewrites (sketch capture Fig. 6, sketch use Sec. 8) are expressed as
 recursive IR -> IR functions in ``repro.core``.
@@ -12,9 +15,9 @@ recursive IR -> IR functions in ``repro.core``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.algebra.expr import Cmp, Col, Expr, split_conjuncts
+from repro.algebra.expr import Cmp, Col, Expr, Node, split_conjuncts
 
 # "sketch" is the BITOR-style merge of provenance-sketch annotations
 # (paper Fig. 6 r3/r7); see repro.core.capture.
@@ -22,47 +25,21 @@ AGG_FUNCS = {"sum", "count", "avg", "min", "max", "sketch"}
 
 
 @dataclass(frozen=True)
-class Op:
+class Op(Node):
     """Base class for logical operators."""
+
+    def __post_init__(self):
+        names = self.schema()
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate output names in {type(self).__name__}: {names}")
 
     def schema(self) -> tuple[str, ...]:
         raise NotImplementedError
 
-    def children(self) -> tuple["Op", ...]:
-        return ()
-
     def relations(self) -> frozenset[str]:
         return frozenset().union(
-            *(c.relations() for c in self.children()), frozenset()
+            *(c.relations() for c in self.children() if isinstance(c, Op))
         )
-
-    def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for c in self.children():
-            out |= c.params()
-        return out
-
-    def bind(self, bindings: Mapping[str, Any]) -> "Op":
-        raise NotImplementedError
-
-    # fluent builders -------------------------------------------------
-    def select(self, cond: Expr) -> "Select":
-        return Select(self, cond)
-
-    def project(self, *items) -> "Project":
-        norm = tuple(
-            (Col(i), i) if isinstance(i, str) else (i[0], i[1]) for i in items
-        )
-        return Project(self, norm)
-
-    def aggregate(self, group_by, aggs) -> "Aggregate":
-        return Aggregate(self, tuple(group_by), tuple(aggs))
-
-    def distinct(self) -> "Distinct":
-        return Distinct(self)
-
-    def join(self, other: "Op", cond: Expr) -> "Join":
-        return Join(self, other, cond)
 
 
 @dataclass(frozen=True)
@@ -78,9 +55,6 @@ class TableAccess(Op):
     def relations(self):
         return frozenset({self.name})
 
-    def bind(self, bindings):
-        return self
-
 
 @dataclass(frozen=True)
 class Select(Op):
@@ -92,15 +66,6 @@ class Select(Op):
     def schema(self):
         return self.child.schema()
 
-    def children(self):
-        return (self.child,)
-
-    def params(self):
-        return self.child.params() | self.cond.params()
-
-    def bind(self, bindings):
-        return Select(self.child.bind(bindings), self.cond.bind(bindings))
-
 
 @dataclass(frozen=True)
 class Project(Op):
@@ -111,21 +76,6 @@ class Project(Op):
 
     def schema(self):
         return tuple(alias for _, alias in self.items)
-
-    def children(self):
-        return (self.child,)
-
-    def params(self):
-        p = self.child.params()
-        for e, _ in self.items:
-            p |= e.params()
-        return p
-
-    def bind(self, bindings):
-        return Project(
-            self.child.bind(bindings),
-            tuple((e.bind(bindings), a) for e, a in self.items),
-        )
 
 
 @dataclass(frozen=True)
@@ -157,12 +107,6 @@ class Aggregate(Op):
     def schema(self):
         return self.group_by + tuple(a.alias for a in self.aggs)
 
-    def children(self):
-        return (self.child,)
-
-    def bind(self, bindings):
-        return Aggregate(self.child.bind(bindings), self.group_by, self.aggs)
-
 
 @dataclass(frozen=True)
 class Join(Op):
@@ -174,19 +118,6 @@ class Join(Op):
 
     def schema(self):
         return self.left.schema() + self.right.schema()
-
-    def children(self):
-        return (self.left, self.right)
-
-    def params(self):
-        return self.left.params() | self.right.params() | self.cond.params()
-
-    def bind(self, bindings):
-        return Join(
-            self.left.bind(bindings),
-            self.right.bind(bindings),
-            self.cond.bind(bindings),
-        )
 
     def split(self) -> tuple[list[tuple[str, str]], list[Expr]]:
         """The (left_attr, right_attr) pairs of the equality conjuncts
@@ -213,12 +144,6 @@ class CrossProduct(Op):
     def schema(self):
         return self.left.schema() + self.right.schema()
 
-    def children(self):
-        return (self.left, self.right)
-
-    def bind(self, bindings):
-        return CrossProduct(self.left.bind(bindings), self.right.bind(bindings))
-
 
 @dataclass(frozen=True)
 class Union(Op):
@@ -230,12 +155,6 @@ class Union(Op):
     def schema(self):
         return self.left.schema()
 
-    def children(self):
-        return (self.left, self.right)
-
-    def bind(self, bindings):
-        return Union(self.left.bind(bindings), self.right.bind(bindings))
-
 
 @dataclass(frozen=True)
 class Distinct(Op):
@@ -245,12 +164,6 @@ class Distinct(Op):
 
     def schema(self):
         return self.child.schema()
-
-    def children(self):
-        return (self.child,)
-
-    def bind(self, bindings):
-        return Distinct(self.child.bind(bindings))
 
 
 @dataclass(frozen=True)
@@ -267,36 +180,10 @@ class TopK(Op):
     def schema(self):
         return self.child.schema()
 
-    def children(self):
-        return (self.child,)
-
-    def bind(self, bindings):
-        return TopK(self.child.bind(bindings), self.order, self.k)
-
 
 def replace_tables(q: Op, repl: Mapping[str, Op]) -> Op:
     """Replace each TableAccess whose name is in ``repl`` — the shape of
     both the capture (INIT) and use (Q[P]) instrumentations."""
     if isinstance(q, TableAccess):
         return repl.get(q.name, q)
-    if isinstance(q, Select):
-        return Select(replace_tables(q.child, repl), q.cond)
-    if isinstance(q, Project):
-        return Project(replace_tables(q.child, repl), q.items)
-    if isinstance(q, Aggregate):
-        return Aggregate(replace_tables(q.child, repl), q.group_by, q.aggs)
-    if isinstance(q, Join):
-        return Join(
-            replace_tables(q.left, repl), replace_tables(q.right, repl), q.cond
-        )
-    if isinstance(q, CrossProduct):
-        return CrossProduct(
-            replace_tables(q.left, repl), replace_tables(q.right, repl)
-        )
-    if isinstance(q, Union):
-        return Union(replace_tables(q.left, repl), replace_tables(q.right, repl))
-    if isinstance(q, Distinct):
-        return Distinct(replace_tables(q.child, repl))
-    if isinstance(q, TopK):
-        return TopK(replace_tables(q.child, repl), q.order, q.k)
-    raise TypeError(f"unknown op {type(q).__name__}")
+    return q.map(lambda c: replace_tables(c, repl) if isinstance(c, Op) else c)

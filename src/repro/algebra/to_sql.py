@@ -11,10 +11,10 @@ A top-k orders NULLs as Spark does by default, first when ascending
 and last when descending, spelled out so that DuckDB agrees.
 
 The dialects differ in literals and quoting (``expr.sql_literal``,
-``expr.ident``), null-safe equality, and the array constructs of the
-capture plan: the ``sketch`` aggregate, which merges key arrays into
-one sorted distinct array, keeping a NULL key, and ``[x]`` / ``[]``
-(``capture.ToArray`` / ``capture.EmptyArray``).
+``expr.ident``) and null-safe equality. The array constructs of the
+capture plan exist in Spark SQL only: the ``sketch`` aggregate, which
+merges key arrays into one sorted distinct array, keeping a NULL key,
+and ``capture.ToArray`` / ``capture.EmptyArray``.
 """
 from __future__ import annotations
 
@@ -36,17 +36,14 @@ from repro.algebra.ops import (
     Union,
 )
 
-_SKETCH = {
-    "duckdb": "list_sort(list_distinct(flatten(list({}))))",
-    "spark": "array_sort(array_distinct(flatten(collect_set({}))))",
-}
+_SKETCH = "array_sort(array_distinct(flatten(collect_set({}))))"
 
 
 def _agg(a: AggSpec, dialect: str) -> str:
     if a.func == "count" and a.attr is None:
         fn = "count(*)"
     elif a.func == "sketch":
-        fn = _SKETCH[dialect].format(ident(a.attr, dialect))
+        fn = _SKETCH.format(ident(a.attr, dialect))
     else:
         fn = f"{a.func}({ident(a.attr, dialect)})"
     return f"{fn} AS {ident(a.alias, dialect)}"

@@ -1,7 +1,7 @@
 """PBDS core — the paper's contribution.
 
 * ``ranges``   — range partitions F_{R,a} (Def. 2) from equi-depth stats
-* ``sketch``   — provenance sketches (Def. 3), bitset codec, merges
+* ``sketch``   — provenance sketches (Def. 3)
 * ``capture``  — instrumentation rules r0..r7 (Fig. 6)
 * ``use``      — Q[P] rewrite + adjacent-range merging (Sec. 8)
 * ``safety``   — gc(Q, X) inference (Fig. 3, Sec. 5)

@@ -36,8 +36,10 @@ that merge point, which bounds what the plan shuffles and what the
 driver maps. On the benchmark queries it is small: a top-k output, the
 HAVING survivors, or Q19's selected rows.
 
-``capture_sketch`` runs the instrumented plan on Spark and maps the
-keys with ``RangePartition.fragment_of_series``, the function
+``capture_sketch`` runs the instrumented plan on Spark, the only
+engine that renders one (``ToArray``, ``EmptyArray`` and the
+``sketch`` aggregate have no DuckDB or pandas form), and maps the keys
+with ``RangePartition.fragment_of_series``, the function
 ``interp.accurate_sketch`` uses, so NULL and NaN keys land in the same
 fragment there and here.
 """
@@ -75,25 +77,13 @@ def ann_col(relation: str) -> str:
 @dataclass(frozen=True)
 class ToArray(Expr):
     """Wrap a scalar key into a singleton array (kind key -> keys). A
-    NULL key becomes ``[NULL]``, which the ``sketch`` merge keeps."""
+    NULL key becomes ``[NULL]``, which the ``sketch`` merge keeps.
+    Spark SQL only, like every capture plan."""
 
     term: Expr
 
-    def children(self):
-        return (self.term,)
-
     def to_sql(self, dialect: str = "duckdb") -> str:
-        t = self.term.to_sql(dialect)
-        return f"array({t})" if dialect == "spark" else f"[{t}]"
-
-    def eval_pandas(self, df):
-        return self.term.eval_pandas(df).map(lambda v: [v])
-
-    def columns(self):
-        return self.term.columns()
-
-    def bind(self, bindings):
-        return ToArray(self.term.bind(bindings))
+        return f"array({self.term.to_sql(dialect)})"
 
 
 @dataclass(frozen=True)
@@ -104,16 +94,7 @@ class EmptyArray(Expr):
     type."""
 
     def to_sql(self, dialect: str = "duckdb") -> str:
-        return "array()" if dialect == "spark" else "[]"
-
-    def eval_pandas(self, df):
-        return pd.Series([[] for _ in range(len(df))], index=df.index)
-
-    def columns(self):
-        return frozenset()
-
-    def bind(self, bindings):
-        return self
+        return "array()"
 
 
 @dataclass

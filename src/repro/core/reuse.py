@@ -64,7 +64,7 @@ def non_grp_pred(q: Op, group_by: Sequence[str], stats: Optional[Stats]) -> list
     """pred(Q) without conjuncts that only mention group-by attrs."""
     g = set(group_by)
     return [
-        c for c in pred_conjuncts(q, stats) if not (c.columns() and c.columns() <= g)
+        c for c in pred_conjuncts(q, stats) if not ((cols := c.columns()) and cols <= g)
     ]
 
 

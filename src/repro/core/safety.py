@@ -10,7 +10,7 @@ attributes), the checker derives bottom-up
   sketch instance D_PS and over D (here: a map attr -> one of
   ``"=", "<=", ">="`` relating ``a`` to its primed copy ``a'``);
 * ``gc(Q, X)``  — the validity obligations of Fig. 3, discharged by
-  ``repro.solver.implies``.
+  ``repro.solver.implies``; ``is_safe`` computes it.
 
 ``gc(Q, X)`` valid implies X is *safe* (Thm. 2): for every database,
 every sketch over range partitions on X satisfies Q(D_PS) = Q(D).
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from repro.algebra.expr import And, Cmp, Col, Expr, Lit, Or
+from repro.algebra.expr import And, Cmp, Col, Expr, Lit, Node, Or
 from repro.algebra.ops import (
     Aggregate,
     CrossProduct,
@@ -53,19 +53,7 @@ def prime(e: Expr) -> Expr:
     """Rename every column c -> c' (the Q-over-D copy)."""
     if isinstance(e, Col):
         return Col(e.name + PRIME)
-    if isinstance(e, Cmp):
-        return Cmp(e.op, prime(e.left), prime(e.right))
-    if isinstance(e, And):
-        return And(*(prime(t) for t in e.terms))
-    if isinstance(e, Or):
-        return Or(*(prime(t) for t in e.terms))
-    from repro.algebra.expr import BinOp, Not
-
-    if isinstance(e, BinOp):
-        return BinOp(e.op, prime(e.left), prime(e.right))
-    if isinstance(e, Not):
-        return Not(prime(e.term))
-    return e  # Lit, Param
+    return e.map(prime)
 
 
 def pred_conjuncts(q: Op, stats: Optional[Stats]) -> list[Expr]:
@@ -176,15 +164,18 @@ def preserved(
     )
 
 
-def _topk_in(q: Op, X: Mapping[str, Sequence[str]]) -> bool:
+def _topk_in(q: Node, X: Mapping[str, Sequence[str]]) -> bool:
     """Whether ``q`` contains a top-k over a sketched relation."""
     if isinstance(q, TopK) and _x_attrs(q, X):
         return True
-    return any(_topk_in(c, X) for c in q.children())
+    return any(_topk_in(c, X) for c in q.children() if isinstance(c, Op))
 
 
-def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> SafetyResult:
-    """The Fig. 3 inference. ``X`` maps relation -> sketch attributes."""
+def is_safe(
+    q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None
+) -> SafetyResult:
+    """gc(Q, X), the Fig. 3 inference: X is safe for Q (Thm. 2) if the
+    result is ``safe``. ``X`` maps relation -> sketch attributes."""
     if isinstance(q, TableAccess) or not _x_attrs(q, X):
         return SafetyResult(True, {a: "=" for a in q.schema()})
     # only Π, δ and ∪ may consume a top-k (module docstring)
@@ -195,7 +186,7 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
             False, reason=f"{type(q).__name__} over a top-k is not supported"
         )
     if isinstance(q, Select):
-        r1 = gc(q.child, X, stats)
+        r1 = is_safe(q.child, X, stats)
         if not r1.safe:
             return SafetyResult(False, r1.psi, r1.topk_caveat, r1.reason)
         ok = _selection_ok(q.cond, r1.psi, q.child, stats)
@@ -204,7 +195,7 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
             "" if ok else f"selection condition not preserved: {q.cond.to_sql()}",
         )
     if isinstance(q, Project):
-        r1 = gc(q.child, X, stats)
+        r1 = is_safe(q.child, X, stats)
         if not r1.safe:
             return r1
         # Psi accumulates entries for attributes of subqueries (names
@@ -218,14 +209,14 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
                 psi.pop(a, None)
         return SafetyResult(True, psi, r1.topk_caveat)
     if isinstance(q, Distinct):
-        r1 = gc(q.child, X, stats)
+        r1 = is_safe(q.child, X, stats)
         if not r1.safe:
             return r1
         ok = preserved(q.schema(), r1.psi, q.child, stats)
         return SafetyResult(ok, r1.psi, r1.topk_caveat,
                             "" if ok else "duplicate elimination over non-equal attrs")
     if isinstance(q, TopK):
-        r1 = gc(q.child, X, stats)
+        r1 = is_safe(q.child, X, stats)
         if not r1.safe:
             return r1
         ok = preserved([o for o, _ in q.order], r1.psi, q.child, stats)
@@ -234,16 +225,16 @@ def gc(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> 
     if isinstance(q, Aggregate):
         return _gc_aggregate(q, X, stats)
     if isinstance(q, Union):
-        rl = gc(q.left, X, stats)
-        rr = gc(q.right, X, stats)
+        rl = is_safe(q.left, X, stats)
+        rr = is_safe(q.right, X, stats)
         if not (rl.safe and rr.safe):
             return SafetyResult(False, {}, rl.topk_caveat or rr.topk_caveat,
                                 rl.reason or rr.reason)
         return SafetyResult(True, _union_psi(q, rl.psi, rr.psi),
                             rl.topk_caveat or rr.topk_caveat)
     if isinstance(q, (Join, CrossProduct)):
-        rl = gc(q.left, X, stats)
-        rr = gc(q.right, X, stats)
+        rl = is_safe(q.left, X, stats)
+        rr = is_safe(q.right, X, stats)
         if not (rl.safe and rr.safe):
             return SafetyResult(False, {}, rl.topk_caveat or rr.topk_caveat,
                                 rl.reason or rr.reason)
@@ -322,7 +313,7 @@ def _project_relation(e: Expr, psi: Psi) -> Optional[str]:
 
 
 def _gc_aggregate(q: Aggregate, X, stats) -> SafetyResult:
-    r1 = gc(q.child, X, stats)
+    r1 = is_safe(q.child, X, stats)
     if not r1.safe:
         return r1
     for g in q.group_by:
@@ -359,11 +350,6 @@ def _gc_aggregate(q: Aggregate, X, stats) -> SafetyResult:
             # relationship unknown (e.g. avg) -> no Psi entry
             psi.pop(s.alias, None)
     return SafetyResult(True, psi, r1.topk_caveat)
-
-
-def is_safe(q: Op, X: Mapping[str, Sequence[str]], stats: Optional[Stats] = None) -> SafetyResult:
-    """Top-level safety check: X safe for Q (Thm. 2) iff gc(Q, X) holds."""
-    return gc(q, X, stats)
 
 
 def choose_safe_attributes(

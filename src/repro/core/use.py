@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.algebra.expr import And, Col, Expr, IsNull, Lit, Or
+from repro.algebra.expr import And, Col, Expr, IsNull, Lit, Node, Or
 from repro.algebra.ops import Op, Select, TableAccess, replace_tables
 from repro.core.sketch import ProvenanceSketch
 
@@ -113,14 +113,8 @@ def apply_sketches(q: Op, sketches: Mapping[str, ProvenanceSketch]) -> Op:
     return replace_tables(q, repl)
 
 
-def _schema_of(q: Op, rel: str) -> tuple[str, ...]:
+def _schema_of(q: Node, rel: str) -> tuple[str, ...]:
     """Find the schema the query uses for base relation ``rel``."""
     if isinstance(q, TableAccess):
-        if q.name == rel:
-            return q.table_schema
-        return ()
-    for c in q.children():
-        s = _schema_of(c, rel)
-        if s:
-            return s
-    return ()
+        return q.table_schema if q.name == rel else ()
+    return next(filter(None, (_schema_of(c, rel) for c in q.children())), ())

@@ -13,9 +13,6 @@ from repro.algebra.expr import (
     Not,
     Or,
     Param,
-    between,
-    col,
-    lit,
 )
 
 DF = pd.DataFrame({"a": [1, 2, 3, 4], "b": [10.0, 20.0, 30.0, 40.0], "s": list("wxyz")})
@@ -51,11 +48,8 @@ class TestSql:
         assert Col("a").ge(Lit(2)).to_sql() == "(a >= 2)"
 
     def test_and_or_not(self):
-        e = Or(And(Col("a").gt(lit(1)), Col("b").lt(lit(5))), Not(Col("a").eq(lit(0))))
+        e = Or(And(Col("a").gt(Lit(1)), Col("b").lt(Lit(5))), Not(Col("a").eq(Lit(0))))
         assert e.to_sql() == "(((a > 1) AND (b < 5)) OR (NOT (a = 0)))"
-
-    def test_between(self):
-        assert between(col("a"), 1, 3).to_sql() == "((a >= 1) AND (a <= 3))"
 
 
 class TestEvalPandas:
@@ -86,16 +80,16 @@ class TestEvalPandas:
         assert list(Cmp(op, Col("a"), Lit(2)).eval_pandas(DF)) == expected
 
     def test_and_flattens(self):
-        e = And(Col("a").gt(lit(0)), And(Col("a").lt(lit(3)), Col("b").gt(lit(0))))
+        e = And(Col("a").gt(Lit(0)), And(Col("a").lt(Lit(3)), Col("b").gt(Lit(0))))
         assert len(e.terms) == 3
         assert list(e.eval_pandas(DF)) == [True, True, False, False]
 
     def test_or(self):
-        e = Or(Col("a").eq(lit(1)), Col("a").eq(lit(4)))
+        e = Or(Col("a").eq(Lit(1)), Col("a").eq(Lit(4)))
         assert list(e.eval_pandas(DF)) == [True, False, False, True]
 
     def test_not(self):
-        assert list(Not(Col("a").gt(lit(2))).eval_pandas(DF)) == [True, True, False, False]
+        assert list(Not(Col("a").gt(Lit(2))).eval_pandas(DF)) == [True, True, False, False]
 
 
 class TestParams:
@@ -123,7 +117,7 @@ class TestColumns:
         assert e.columns() == {"a", "b"}
 
     def test_bool_columns(self):
-        e = Or(Col("a").gt(lit(0)), Not(Col("s").eq(lit("x"))))
+        e = Or(Col("a").gt(Lit(0)), Not(Col("s").eq(Lit("x"))))
         assert e.columns() == {"a", "s"}
 
 

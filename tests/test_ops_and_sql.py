@@ -68,6 +68,20 @@ class TestSchema:
         q = Join(R, S, Col("a").eq(Col("c")))
         assert q.relations() == {"r", "s"}
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Aggregate(R, ("a",), (AggSpec("count", None, "a"),)),
+            lambda: Project(R, ((Col("a"), "x"), (Col("b"), "x"))),
+            lambda: Join(R, R, Col("a").eq(Col("a"))),
+        ],
+        ids=["aggregate", "project", "join"],
+    )
+    def test_duplicate_output_names_rejected(self, build):
+        # Spark analysis fails on such a plan with AMBIGUOUS_REFERENCE
+        with pytest.raises(ValueError, match="duplicate output names"):
+            build()
+
     def test_agg_validation(self):
         with pytest.raises(ValueError):
             AggSpec("median", "a", "m")
